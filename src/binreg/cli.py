@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,17 +27,6 @@ SCHEMA = 1
 
 SIGN_LINKS = ("logit", "probit", "cloglog")
 CERTIFIED_LINKS = ("logit", "probit", "cloglog", "uniform")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    csv_path: Optional[str]
-    link: str
-    tol: float
-    max_iter: int
-    seed: int
-    output: str  # "json" | "plain"
 
 
 class _UsageError(Exception):
@@ -123,7 +111,7 @@ def _cmd_fit(args) -> int:
         _emit(payload, args.plain, args.json_out)
         return 2
     options = FitOptions(tol=args.tol, max_iter=args.max_iter)
-    fr = fit(ds, link, options)
+    fr = fit(ds, link, options, overlap=report)
     payload.update({
         "alpha": fr.params.alpha,
         "beta": list(fr.params.beta),

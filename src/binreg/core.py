@@ -186,6 +186,7 @@ def extended_design(ds: Dataset, rank_tolerance: float = 1e-10) -> DesignMatrix:
 def read_csv(path) -> Dataset:
     """Load a dataset from CSV: header required, one column named 'y' with
     0/1 values, all other columns numeric predictors in header order.
+    Blank lines are skipped; row numbers in errors count file rows.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -199,6 +200,8 @@ def read_csv(path) -> Dataset:
         y_col = header.index("y")
         rows = []
         for r, record in enumerate(reader, start=1):
+            if not record:  # blank line
+                continue
             if len(record) != len(header):
                 raise CsvFormatError(f"row {r} has {len(record)} cells, expected {len(header)}")
             vals = []

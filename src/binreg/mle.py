@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import BinregError, Dataset
 from .links import LinkFamily
-from .overlap import (DEGENERATE, SEPARATED, cone_overlap, scalar_overlap,
-                      separating_direction)
+from .overlap import (DEGENERATE, SEPARATED, OverlapReport, cone_overlap,
+                      scalar_overlap, separating_direction)
 from .simplex import LPNumericalFailure
 
 CONVERGED = "Converged"
@@ -97,23 +97,20 @@ def _weights(xt, y, link, theta):
     """
     z = xt @ theta
     with np.errstate(invalid="ignore", over="ignore"):
-        u = np.exp(link.log_pdf(z) - link.log_cdf(z))
-        v = np.exp(link.log_pdf(z) - link.log_sf(z))
+        log_pdf = link.log_pdf(z)
+        u = np.exp(log_pdf - link.log_cdf(z))
+        v = np.exp(log_pdf - link.log_sf(z))
         slope = link.pdf_log_slope(z)
-    is1 = y == 1
-    w = np.where(is1, u, -v)
-    dw = np.where(is1, u * (slope - u), -v * (slope + v))
+        is1 = y == 1
+        w = np.where(is1, u, -v)
+        dw = np.where(is1, u * (slope - u), -v * (slope + v))
     return w, dw
 
 
-def _score(xt, y, link, theta) -> np.ndarray:
-    w, _ = _weights(xt, y, link, theta)
-    return xt.T @ w
-
-
-def _hessian(xt, y, link, theta) -> np.ndarray:
-    _, dw = _weights(xt, y, link, theta)
-    return xt.T @ (dw[:, None] * xt)
+def _derivatives(xt, y, link, theta) -> Tuple[np.ndarray, np.ndarray]:
+    """Score and Hessian from one evaluation of the link."""
+    w, dw = _weights(xt, y, link, theta)
+    return xt.T @ w, xt.T @ (dw[:, None] * xt)
 
 
 def log_likelihood(ds: Dataset, link: LinkFamily, p: Parameters) -> float:
@@ -127,12 +124,12 @@ def log_likelihood(ds: Dataset, link: LinkFamily, p: Parameters) -> float:
 
 def score(ds: Dataset, link: LinkFamily, p: Parameters) -> np.ndarray:
     """Gradient of the log likelihood in (alpha, beta); length d+1."""
-    return _score(_extended(ds), ds.y, link, _theta(p))
+    return _derivatives(_extended(ds), ds.y, link, _theta(p))[0]
 
 
 def hessian(ds: Dataset, link: LinkFamily, p: Parameters) -> np.ndarray:
     """Analytic second derivative matrix; symmetric, (d+1) x (d+1)."""
-    return _hessian(_extended(ds), ds.y, link, _theta(p))
+    return _derivatives(_extended(ds), ds.y, link, _theta(p))[1]
 
 
 def _ascent_direction(H: np.ndarray, g: np.ndarray, ridge: float) -> np.ndarray:
@@ -145,6 +142,10 @@ def _ascent_direction(H: np.ndarray, g: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _hessian_condition(H: np.ndarray) -> float:
+    # far along a separating direction some links' weight derivatives are
+    # 0 * inf; the curvature is then unknown, not an eigenvalue failure
+    if not np.all(np.isfinite(H)):
+        return math.inf
     evals = np.abs(np.linalg.eigvalsh(H))
     if evals.min() == 0.0:
         return math.inf
@@ -167,12 +168,11 @@ def _newton(xt, y, link, theta, opts: FitOptions, trace: _Trace,
     limit = opts.max_iter if max_iter is None else max_iter
     f = _loglik(xt, y, link, theta)
     for _ in range(limit):
-        g = _score(xt, y, link, theta)
+        g, H = _derivatives(xt, y, link, theta)
         if stop_on_score and np.max(np.abs(g)) <= opts.tol:
             return theta, "converged"
         if np.linalg.norm(theta[1:]) > opts.diverge_bound:
             return theta, "diverged"
-        H = _hessian(xt, y, link, theta)
         direction = _ascent_direction(H, g, opts.ridge)
         slope = float(g @ direction)
         if not np.isfinite(slope) or slope <= 0:
@@ -194,7 +194,7 @@ def _newton(xt, y, link, theta, opts: FitOptions, trace: _Trace,
             step *= 0.5
         if not accepted:
             return theta, "stalled"
-    g = _score(xt, y, link, theta)
+    g, _ = _derivatives(xt, y, link, theta)
     if stop_on_score and np.max(np.abs(g)) <= opts.tol:
         return theta, "converged"
     return theta, "maxiter"
@@ -252,9 +252,14 @@ def _multistart_points(theta0: np.ndarray, count: int) -> list:
     return pts
 
 
-def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None) -> FitResult:
+def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
+        overlap: Optional[OverlapReport] = None) -> FitResult:
     """Maximize the log likelihood; see the module docstring for the
     convergence/divergence protocol.
+
+    ``overlap`` is a report the caller already holds for ``ds`` (from
+    ``cone_overlap`` or ``scalar_overlap``); its verdict is used instead of
+    solving the cone program again.
 
     Status values: Converged (score within tolerance at an interior
     maximum), Diverged (groups separated; slope escaped the bound with the
@@ -279,8 +284,8 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None) -> 
     theta0 = np.zeros(ds.d + 1)
     theta0[0] = link.inverse(p_hat)
 
-    verdict = None
-    if rank_ok:
+    verdict = None if overlap is None else overlap.verdict
+    if rank_ok and overlap is None:
         try:
             verdict = cone_overlap(xt, y).verdict
         except LPNumericalFailure:
@@ -332,9 +337,9 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None) -> 
                   "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}[flag]
 
     loglik = _loglik(xt, y, link, theta)
-    score_std = _score(xt, y, link, theta)
+    score_std, hess = _derivatives(xt, y, link, theta)
     score_norm = float(np.max(np.abs(score_std)))
-    hess_cond = _hessian_condition(_hessian(xt, y, link, theta))
+    hess_cond = _hessian_condition(hess)
 
     return FitResult(
         params=_to_raw(theta, center, spread),

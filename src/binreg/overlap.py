@@ -117,29 +117,17 @@ def _column_scales(xt: np.ndarray) -> np.ndarray:
     return scales
 
 
-def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> OverlapReport:
-    """Decide whether the open cones of the two groups' extended predictors
-    intersect, by maximizing the smallest combination weight.
-
-    The program is: maximize t subject to the y=1 and y=0 combinations being
-    equal, all weights >= t, and weights summing to one. Overlap requires
-    the optimum to exceed ``t_min`` strictly; an optimum of zero is
-    quasi-separation and reported Separated. Columns are rescaled to unit
-    max-abs first (the condition is scale-free; the weights are unchanged).
-
-    Raises LPNumericalFailure if the solver exhausts its pivot budget;
-    callers with d=1 can fall back to ``scalar_overlap``.
+def _cone_program(xt: np.ndarray, y: np.ndarray):
+    """Solve the cone program on the column-rescaled design: maximize t
+    subject to the y=1 and y=0 combinations being equal, all weights >= t,
+    and weights summing to one. Returns the LP result, the rescaled design
+    and the column scales.
     """
-    y = np.asarray(y)
-    xt = np.asarray(getattr(dm, "xt", dm), dtype=float)
-    n, cols = xt.shape
-    if np.all(xt == xt[0]):
-        return OverlapReport(verdict=DEGENERATE, method=METHOD_CONE)
-
     scales = _column_scales(xt)
     xs = xt / scales
     pos = np.nonzero(y == 1)[0]
     neg = np.nonzero(y == 0)[0]
+    n, cols = xt.shape
     npos, nneg = pos.size, neg.size
 
     # variables: u_i = k_i - t (y=1), v_j = m_j - t (y=0), t = tp - tm
@@ -162,6 +150,30 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> Overl
     result = solve_lp(c, A, b)
     if result.status == "unbounded":
         raise LPNumericalFailure("cone program reported unbounded; margin is capped at 1/n")
+    return result, xs, scales
+
+
+def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> OverlapReport:
+    """Decide whether the open cones of the two groups' extended predictors
+    intersect, by maximizing the smallest combination weight.
+
+    The program is: maximize t subject to the y=1 and y=0 combinations being
+    equal, all weights >= t, and weights summing to one. Overlap requires
+    the optimum to exceed ``t_min`` strictly; an optimum of zero is
+    quasi-separation and reported Separated. Columns are rescaled to unit
+    max-abs first (the condition is scale-free; the weights are unchanged).
+
+    Raises LPNumericalFailure if the solver exhausts its pivot budget;
+    callers with d=1 can fall back to ``scalar_overlap``.
+    """
+    y = np.asarray(y)
+    xt = np.asarray(getattr(dm, "xt", dm), dtype=float)
+    if np.all(xt == xt[0]):
+        return OverlapReport(verdict=DEGENERATE, method=METHOD_CONE)
+
+    result, xs, _ = _cone_program(xt, y)
+    pos = np.nonzero(y == 1)[0]
+    neg = np.nonzero(y == 0)[0]
 
     hint = None
     if xt.shape[1] == 2:  # intercept plus one predictor
@@ -179,8 +191,8 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> Overl
         return OverlapReport(verdict=SEPARATED, method=METHOD_CONE,
                              direction_hint=hint, margin=max(t_star, 0.0))
 
-    weights_pos = result.x[:npos] + t_star
-    weights_neg = result.x[npos:npos + nneg] + t_star
+    weights_pos = result.x[:pos.size] + t_star
+    weights_neg = result.x[pos.size:pos.size + neg.size] + t_star
     residual = float(np.max(np.abs(
         weights_pos @ xs[pos] - weights_neg @ xs[neg])))
     cert = ConeCertificate(weights_pos=weights_pos, weights_neg=weights_neg,
@@ -191,46 +203,21 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> Overl
 
 def separating_direction(dm: DesignMatrix, y: np.ndarray) -> Optional[np.ndarray]:
     """Find gamma with gamma'x~ >= 0 on y=1 rows and <= 0 on y=0 rows,
-    strict somewhere, by maximizing the total slack under box bounds.
+    strict somewhere, by reading it off the cone program's duals.
 
-    Returns None when the groups overlap (only gamma = 0 satisfies the
-    constraints). For separated data the returned direction has a nonzero
-    slope block, and the log likelihood is nondecreasing along it from any
-    starting point.
+    By LP duality the optimal multipliers, negated, satisfy gamma'x~ >= -t*
+    on y=1 rows and <= t* on y=0 rows, so they separate exactly when the
+    margin t* <= 0 (and then the slope block is nonzero). An infeasible
+    program gives a strictly separating gamma from its phase-1 multipliers
+    (Farkas' lemma).
+
+    Returns None when t* > 0 (the groups overlap, perhaps by less than the
+    cone tolerance). For separated data the log likelihood is nondecreasing
+    along the returned direction from any starting point.
     """
-    y = np.asarray(y)
     xt = np.asarray(getattr(dm, "xt", dm), dtype=float)
-    n, cols = xt.shape
-    xs = xt / _column_scales(xt)
-    signs = np.where(y == 1, 1.0, -1.0)
-    oriented = xs * signs[:, None]
-
-    # variables: gp (cols), gn (cols), s (n), row slack (n),
-    #            bound slacks for gp, gn (2*cols) and s (n)
-    nvar = 2 * cols + n + n + 2 * cols + n
-    rows = n + 2 * cols + n
-    A = np.zeros((rows, nvar))
-    b = np.zeros(rows)
-    # oriented_i' (gp - gn) - s_i - slack_i = 0
-    A[:n, :cols] = oriented
-    A[:n, cols:2 * cols] = -oriented
-    A[:n, 2 * cols:2 * cols + n] = -np.eye(n)
-    A[:n, 2 * cols + n:2 * cols + 2 * n] = -np.eye(n)
-    # gp_j <= 1, gn_j <= 1
-    A[n:n + 2 * cols, :2 * cols] = np.eye(2 * cols)
-    A[n:n + 2 * cols, 2 * cols + 2 * n:4 * cols + 2 * n] = np.eye(2 * cols)
-    b[n:n + 2 * cols] = 1.0
-    # s_i <= 1
-    A[n + 2 * cols:, 2 * cols:2 * cols + n] = np.eye(n)
-    A[n + 2 * cols:, 4 * cols + 2 * n:] = np.eye(n)
-    b[n + 2 * cols:] = 1.0
-
-    c = np.zeros(nvar)
-    c[2 * cols:2 * cols + n] = -1.0  # maximize total slack
-
-    result = solve_lp(c, A, b)
-    if result.status != "optimal" or -result.objective <= 1e-9:
+    result, _, scales = _cone_program(xt, np.asarray(y))
+    if result.status == "optimal" and result.x[-2] - result.x[-1] > 0.0:
         return None
-    gamma_scaled = result.x[:cols] - result.x[cols:2 * cols]
-    # constraints were on the rescaled design; map back to raw coordinates
-    return gamma_scaled / _column_scales(xt)
+    # the program was posed on the rescaled design; map back to raw coordinates
+    return -result.duals[:xt.shape[1]] / scales

@@ -1,9 +1,11 @@
 """Dense two-phase simplex with Bland's anti-cycling rule.
 
-Solves  min c'x  s.t.  Ax = b, x >= 0  exactly enough for the small, highly
-degenerate feasibility programs this package builds (tens of variables).
-Bland's rule guarantees finite termination on degenerate tableaus where a
-largest-coefficient rule can cycle; speed is irrelevant at these sizes.
+Solves  min c'x  s.t.  Ax = b, x >= 0  exactly enough for the one program
+this package builds: the cone feasibility LP of ``overlap``, with d+2 rows
+and one column per observation, highly degenerate. Bland's rule guarantees
+finite termination on degenerate tableaus where a largest-coefficient rule
+can cycle. The optimal simplex multipliers are returned too; ``overlap``
+reads a separating direction off them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,18 @@ class LPResult:
     x: np.ndarray
     objective: float
     iterations: int
+    # multipliers c_B B^-1: A'y <= c and b'y = objective when optimal; the
+    # phase-1 ones, A'y <= 0 and b'y > 0, when infeasible; NaN when unbounded
+    duals: np.ndarray
+
+
+def _multipliers(cost: np.ndarray, basis: np.ndarray, tableau: np.ndarray,
+                 n: int, negated: np.ndarray) -> np.ndarray:
+    # the artificial columns carry B^-1; undo the row negations of b >= 0
+    m = negated.size
+    duals = cost[basis] @ tableau[:, n:n + m]
+    duals[negated] *= -1.0
+    return duals
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -106,7 +120,8 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray,
         raise LPNumericalFailure("phase-1 reported unbounded")
     infeasibility = float(phase1_cost[basis] @ tableau[:, -1])
     if infeasibility > 1e-9:
-        return LPResult("infeasible", np.full(n, np.nan), np.nan, used)
+        return LPResult("infeasible", np.full(n, np.nan), np.nan, used,
+                        _multipliers(phase1_cost, basis, tableau, n, neg))
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep = np.ones(m, dtype=bool)
@@ -128,9 +143,10 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     phase2_cost = np.concatenate([c, np.zeros(m)])
     used2 = _run_phase(tableau, basis, phase2_cost, n, max_iter)
     if used2 < 0:
-        return LPResult("unbounded", np.full(n, np.nan), -np.inf, used)
+        return LPResult("unbounded", np.full(n, np.nan), -np.inf, used, np.full(m, np.nan))
 
     x = np.zeros(n + m)
     x[basis] = tableau[:, -1]
     x = x[:n]
-    return LPResult("optimal", x, float(c @ x), used + used2)
+    return LPResult("optimal", x, float(c @ x), used + used2,
+                    _multipliers(phase2_cost, basis, tableau, n, neg))

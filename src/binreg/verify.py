@@ -6,8 +6,6 @@ seeded dataset generators for the property suites.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -291,12 +289,7 @@ class SuiteSummary:
 
 
 def _map_trials(fn: Callable[[int], object], count: int) -> List[object]:
-    """Run trials 0..count-1, optionally across worker threads
-    (BINREG_THREADS), assembling results in trial order."""
-    threads = int(os.environ.get("BINREG_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
+    """Run trials 0..count-1 in order."""
     return [fn(i) for i in range(count)]
 
 

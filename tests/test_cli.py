@@ -27,6 +27,38 @@ def run_cli(capsys, *argv):
 
 
 class TestFitCommand:
+    def test_overlapping_fit_solves_the_cone_program_once(self, capsys, csvs, monkeypatch):
+        import binreg.cli
+        import binreg.mle
+        from binreg.overlap import cone_overlap
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cone_overlap(*args, **kwargs)
+
+        for module in (binreg.cli, binreg.mle):
+            monkeypatch.setattr(module, "cone_overlap", counted)
+        code, out, _ = run_cli(capsys, "fit", "--csv", csvs["olap"])
+        assert code == 0
+        assert json.loads(out)["status"] == "Converged"
+        assert len(calls) == 1
+
+    def test_forced_separated_fit_solves_two_small_programs(self, capsys, csvs, monkeypatch):
+        import binreg.overlap
+        solve_lp = binreg.overlap.solve_lp
+        rows = []
+
+        def counted(c, A, b, *args, **kwargs):
+            rows.append(len(b))
+            return solve_lp(c, A, b, *args, **kwargs)
+
+        monkeypatch.setattr(binreg.overlap, "solve_lp", counted)
+        code, out, _ = run_cli(capsys, "fit", "--csv", csvs["sep"], "--force")
+        assert code == 0
+        assert json.loads(out)["status"] == "Diverged"
+        assert rows == [3, 3]  # d+2 rows each: the verdict, then the direction
+
     def test_balanced_fit_json(self, capsys, csvs):
         code, out, _ = run_cli(capsys, "fit", "--link", "logit", "--csv", csvs["bal"])
         assert code == 0

@@ -158,3 +158,16 @@ class TestCsv:
         path = tmp_path / "real.csv"
         path.write_text("x,y\n1,0.0\n2,1.0\n")
         assert read_csv(path).y.tolist() == [0, 1]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x,y\n1,0\n\n2,1\n\n")
+        ds = read_csv(path)
+        assert ds.x.tolist() == [[1.0], [2.0]]
+        assert ds.y.tolist() == [0, 1]
+
+    def test_blank_lines_keep_file_row_numbers(self, tmp_path):
+        path = tmp_path / "blank_bad.csv"
+        path.write_text("x,y\n1,0\n\noops,1\n")
+        with pytest.raises(CsvFormatError, match=r"row 3, column 0"):
+            read_csv(path)

@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, ConfigError, FitOptions,
-                    Parameters, build_dataset, dataset_from_arrays, fit,
-                    get_link, grid_mle, group_stats, hessian, log_likelihood,
-                    score)
+                    Parameters, build_dataset, cone_overlap, dataset_from_arrays,
+                    extended_design, fit, gen_separated, get_link, grid_mle,
+                    group_stats, hessian, log_likelihood, read_csv, score)
+
+DATA = Path(__file__).parent / "data"
 
 ALL_NAMES = ["logit", "probit", "cloglog", "cauchit", "uniform"]
 CERTIFIED_NAMES = ["logit", "probit", "cloglog", "uniform"]
@@ -287,6 +290,41 @@ class TestFit:
         fr = fit(ds, LOGIT)
         assert fr.status == CONVERGED
         assert "fragile" in fr.caveat
+
+    def test_given_overlap_report_is_not_recomputed(self, monkeypatch):
+        import binreg.mle as mle_mod
+        ds = make_ds([1, 3, 2, 4], [0, 0, 1, 1])
+        base = fit(ds, LOGIT)
+        report = cone_overlap(extended_design(ds), ds.y)
+
+        def solve_again(*a, **k):
+            raise AssertionError("cone program solved a second time")
+
+        monkeypatch.setattr(mle_mod, "cone_overlap", solve_again)
+        fr = fit(ds, LOGIT, overlap=report)
+        assert fr.status == base.status == CONVERGED
+        assert (fr.params.alpha, list(fr.params.beta)) == (base.params.alpha, list(base.params.beta))
+
+    @pytest.mark.parametrize("name", ["quasi_separated_tie", "quasi_separated_tie_pivots"])
+    def test_tied_quasi_separated_set_diverges(self, name):
+        # n=100, d=3: groups split by a plane and pushed 0.2 apart, plus one
+        # mid-plane point in both groups. The score vanishes as the slope
+        # grows, so only a separating direction tells this from an optimum.
+        ds = read_csv(DATA / f"{name}.csv")
+        fr = fit(ds, LOGIT)
+        assert fr.status == DIVERGED
+        assert fr.caveat is None
+        z = fr.params.alpha + ds.x @ fr.params.beta
+        tol = 1e-8 * np.max(np.abs(z))
+        assert z[ds.y == 1].min() >= -tol
+        assert z[ds.y == 0].max() <= tol
+
+    def test_cloglog_separated_reports_diverged(self):
+        # far along the separating direction the cloglog Hessian weights are
+        # 0 * inf; the condition number is reported unknown, not a crash
+        fr = fit(gen_separated(150, 3, 0), get_link("cloglog"))
+        assert fr.status == DIVERGED
+        assert fr.hessian_condition == math.inf
 
     def test_config_validation(self):
         ds = make_ds([1, 2], [0, 1])

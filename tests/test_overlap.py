@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from binreg import (DEGENERATE, OVERLAP, SEPARATED, DimensionError,
                     build_dataset, cone_overlap, dataset_from_arrays,
-                    extended_design, scalar_overlap, separating_direction)
+                    extended_design, gen_separated, scalar_overlap,
+                    separating_direction)
 
 
 def make_ds(x, y):
@@ -15,6 +16,24 @@ def make_ds(x, y):
 
 def cone_of(ds):
     return cone_overlap(extended_design(ds), ds.y)
+
+
+def tied_separated(rng, n, d):
+    """Groups split by a random hyperplane and pushed 0.2 apart, then one
+    point on the mid-plane placed in both groups: quasi-separated, margin 0."""
+    x = rng.uniform(-1.0, 1.0, size=(n, d))
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    s = x @ w
+    y = np.zeros(n, dtype=int)
+    y[np.argsort(s)[n // 2:]] = 1
+    x = x + np.outer(y, (s[y == 0].max() - s[y == 1].min() + 0.2) * w)
+    s = x @ w
+    mid = 0.5 * (s[y == 0].max() + s[y == 1].min())
+    tie = x[0] - (s[0] - mid) * w
+    x[np.argmax(y == 1)] = tie
+    x[np.argmax(y == 0)] = tie
+    return make_ds(x, y)
 
 
 class TestScalar:
@@ -205,3 +224,34 @@ class TestSeparatingDirection:
         proj = extended_design(ds).xt @ gamma
         assert np.all(proj[ds.y == 1] >= -1e-12)
         assert np.all(proj[ds.y == 0] <= 1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_strict_for_strictly_separated_data(self, d):
+        for seed in range(15):
+            ds = gen_separated(10 + 7 * seed, d, seed)
+            gamma = separating_direction(extended_design(ds), ds.y)
+            proj = extended_design(ds).xt @ gamma
+            assert proj[ds.y == 1].min() > 0.0
+            assert proj[ds.y == 0].max() < 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_weak_with_nonzero_slope_for_tied_data(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(15):
+            ds = tied_separated(rng, int(rng.integers(8, 60)), d)
+            assert cone_of(ds).margin == 0.0
+            gamma = separating_direction(extended_design(ds), ds.y)
+            assert gamma is not None
+            proj = extended_design(ds).xt @ gamma
+            scale = np.max(np.abs(proj))
+            assert proj[ds.y == 1].min() >= -1e-12 * scale
+            assert proj[ds.y == 0].max() <= 1e-12 * scale
+            assert np.linalg.norm(gamma[1:]) > 0.0
+
+    def test_strict_when_cone_program_infeasible(self):
+        # the affine hulls of the groups (a point, a line) do not meet, so
+        # the cone program has no solution and phase 1 supplies gamma
+        ds = make_ds([[0.0, 1.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [1, 0, 0, 0])
+        gamma = separating_direction(extended_design(ds), ds.y)
+        proj = extended_design(ds).xt @ gamma
+        assert proj[0] > 0.0 and np.all(proj[1:] < 0.0)

@@ -88,3 +88,37 @@ def test_matches_reference_solver_on_random_programs(seed):
         assert ref.status == 0
         assert ours.status == "optimal"
         assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_duals_match_reference_multipliers(seed):
+    """The returned multipliers are the equality-constraint marginals of an
+    independent solver, satisfy dual feasibility A'y <= c and close the
+    duality gap b'y = c'x. Some rows get a negative right-hand side, so the
+    sign flip of the b >= 0 normalization is exercised."""
+    rng = np.random.default_rng(1000 + seed)
+    m, n = rng.integers(2, 5), rng.integers(5, 9)
+    A = rng.normal(size=(m, n))
+    b = A @ rng.uniform(0.5, 2.0, size=n)
+    c = rng.uniform(0.1, 1.0, size=n)  # positive costs keep the program bounded
+    ours = solve_lp(c, A, b)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert ours.status == "optimal" and ref.status == 0
+    assert ours.duals == pytest.approx(ref.eqlin.marginals, abs=1e-8)
+    assert b @ ours.duals == pytest.approx(ours.objective, abs=1e-9)
+    assert np.all(A.T @ ours.duals <= c + 1e-9)
+
+
+def test_infeasible_duals_are_a_farkas_certificate():
+    # x1 + x2 = -1, x1 - x2 = 3: the first row alone has no solution x >= 0
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    b = np.array([-1.0, 3.0])
+    res = solve_lp(np.array([1.0, 1.0]), A, b)
+    assert res.status == "infeasible"
+    assert np.all(A.T @ res.duals <= 1e-12)
+    assert b @ res.duals > 0
+
+
+def test_unbounded_duals_are_nan():
+    res = solve_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+    assert np.all(np.isnan(res.duals))

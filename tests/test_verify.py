@@ -190,9 +190,3 @@ class TestSuites:
         summary = run_angle_suite(get_link("cloglog"), d=2, trials=15, seed=5)
         assert summary.failures == 0
         assert summary.passes > 0
-
-    def test_thread_fanout_is_deterministic(self, monkeypatch):
-        base = run_sign_suite(LOGIT, trials=12, seed=99)
-        monkeypatch.setenv("BINREG_THREADS", "3")
-        threaded = run_sign_suite(LOGIT, trials=12, seed=99)
-        assert threaded == base
