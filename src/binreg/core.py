@@ -122,7 +122,13 @@ def dataset_from_arrays(x: np.ndarray, y: np.ndarray) -> Dataset:
     if y_arr.shape != (x.shape[0],):
         raise DimensionMismatch(
             f"labels have shape {y_arr.shape}, expected ({x.shape[0]},)")
-    labels = np.array([_check_label(v) for v in y_arr.tolist()], dtype=np.int64)
+    if y_arr.dtype.kind in "biuf":
+        binary = (y_arr == 0) | (y_arr == 1)
+        if not binary.all():
+            _check_label(y_arr[np.argmin(binary)].item())  # raises
+        labels = y_arr.astype(np.int64)
+    else:
+        labels = np.array([_check_label(v) for v in y_arr.tolist()], dtype=np.int64)
     n1 = int(labels.sum())
     n0 = labels.size - n1
     if n0 == 0 or n1 == 0:

@@ -237,6 +237,11 @@ def _to_raw(theta_std: np.ndarray, center: np.ndarray, spread: np.ndarray) -> Pa
     return Parameters(alpha=alpha, beta=beta)
 
 
+def _to_standardized(gamma: np.ndarray, center: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    # gamma0 + gamma1'x written in the standardized predictors (x - center) / spread
+    return np.concatenate([[gamma[0] + gamma[1:] @ center], spread * gamma[1:]])
+
+
 def _multistart_points(theta0: np.ndarray, count: int) -> list:
     pts = [theta0.copy()]
     dim = theta0.size
@@ -258,8 +263,9 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     convergence/divergence protocol.
 
     ``overlap`` is a report the caller already holds for ``ds`` (from
-    ``cone_overlap`` or ``scalar_overlap``); its verdict is used instead of
-    solving the cone program again.
+    ``scalar_overlap``, or ``cone_overlap`` on ``extended_design(ds)``); its
+    verdict is used instead of solving the cone program again, and on
+    separated data so is its separating direction, if it carries one.
 
     Status values: Converged (score within tolerance at an interior
     maximum), Diverged (groups separated; slope escaped the bound with the
@@ -302,7 +308,10 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
         status = NOT_UNIQUE
         caveat = "design matrix is rank-deficient; maximizer is not unique"
     elif verdict == SEPARATED or verdict == DEGENERATE:
-        gamma = separating_direction(xt, y)
+        if overlap is not None and overlap.direction is not None:
+            gamma = _to_standardized(overlap.direction, center, spread)
+        else:
+            gamma = separating_direction(xt, y)
         if gamma is None:
             # margin below t_min but no weakly separating direction: the
             # groups overlap by less than the cone tolerance; fall back to

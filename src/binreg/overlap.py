@@ -71,6 +71,10 @@ class OverlapReport:
     certificate: Optional[ConeCertificate] = None
     direction_hint: Optional[int] = None
     margin: Optional[float] = None
+    # cone route only: a weakly separating gamma in the coordinates of the
+    # design the report was computed on, when the margin t* <= 0 or the
+    # cone program is infeasible
+    direction: Optional[np.ndarray] = None
 
 
 def _direction_hint(bounds: ScalarBounds) -> Optional[int]:
@@ -153,6 +157,14 @@ def _cone_program(xt: np.ndarray, y: np.ndarray):
     return result, xs, scales
 
 
+def _direction(result, scales: np.ndarray) -> Optional[np.ndarray]:
+    # the negated multipliers separate exactly when t* <= 0 or the program
+    # is infeasible; it was posed on the rescaled design, so map them back
+    if result.status == "optimal" and result.x[-2] - result.x[-1] > 0.0:
+        return None
+    return -result.duals[:scales.size] / scales
+
+
 def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> OverlapReport:
     """Decide whether the open cones of the two groups' extended predictors
     intersect, by maximizing the smallest combination weight.
@@ -162,6 +174,8 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> Overl
     the optimum to exceed ``t_min`` strictly; an optimum of zero is
     quasi-separation and reported Separated. Columns are rescaled to unit
     max-abs first (the condition is scale-free; the weights are unchanged).
+    A Separated report with t* <= 0 also carries the direction that
+    ``separating_direction`` would return for the same design.
 
     Raises LPNumericalFailure if the solver exhausts its pivot budget;
     callers with d=1 can fall back to ``scalar_overlap``.
@@ -171,7 +185,7 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> Overl
     if np.all(xt == xt[0]):
         return OverlapReport(verdict=DEGENERATE, method=METHOD_CONE)
 
-    result, xs, _ = _cone_program(xt, y)
+    result, xs, scales = _cone_program(xt, y)
     pos = np.nonzero(y == 1)[0]
     neg = np.nonzero(y == 0)[0]
 
@@ -184,12 +198,14 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray, t_min: float = T_MIN) -> Overl
 
     if result.status == "infeasible":
         return OverlapReport(verdict=SEPARATED, method=METHOD_CONE,
-                             direction_hint=hint, margin=0.0)
+                             direction_hint=hint, margin=0.0,
+                             direction=_direction(result, scales))
 
     t_star = float(result.x[-2] - result.x[-1])
     if t_star <= t_min:
         return OverlapReport(verdict=SEPARATED, method=METHOD_CONE,
-                             direction_hint=hint, margin=max(t_star, 0.0))
+                             direction_hint=hint, margin=max(t_star, 0.0),
+                             direction=_direction(result, scales))
 
     weights_pos = result.x[:pos.size] + t_star
     weights_neg = result.x[pos.size:pos.size + neg.size] + t_star
@@ -217,7 +233,4 @@ def separating_direction(dm: DesignMatrix, y: np.ndarray) -> Optional[np.ndarray
     """
     xt = np.asarray(getattr(dm, "xt", dm), dtype=float)
     result, _, scales = _cone_program(xt, np.asarray(y))
-    if result.status == "optimal" and result.x[-2] - result.x[-1] > 0.0:
-        return None
-    # the program was posed on the rescaled design; map back to raw coordinates
-    return -result.duals[:xt.shape[1]] / scales
+    return _direction(result, scales)

@@ -1,11 +1,14 @@
-"""Dense two-phase simplex with Bland's anti-cycling rule.
+"""Two-phase revised simplex with Bland's anti-cycling rule.
 
 Solves  min c'x  s.t.  Ax = b, x >= 0  exactly enough for the one program
 this package builds: the cone feasibility LP of ``overlap``, with d+2 rows
 and one column per observation, highly degenerate. Bland's rule guarantees
-finite termination on degenerate tableaus where a largest-coefficient rule
-can cycle. The optimal simplex multipliers are returned too; ``overlap``
-reads a separating direction off them.
+finite termination on degenerate bases where a largest-coefficient rule
+can cycle. The solver keeps only B^-1 and the basic values, m x (m+1)
+numbers, and never forms B^-1 A: a pivot costs one m x (n+m) pricing
+product over the original columns, then O(m^2) work, instead of an update
+of every cell of an m x (n+m+1) tableau. The optimal simplex multipliers
+are returned too; ``overlap`` reads a separating direction off them.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .core import BinregError
 
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-11
+_TIE_TOL = 1e-12  # ratio-test ties; smaller basic values are zero
 
 
 class LPNumericalFailure(BinregError):
@@ -35,60 +39,64 @@ class LPResult:
     duals: np.ndarray
 
 
-def _multipliers(cost: np.ndarray, basis: np.ndarray, tableau: np.ndarray,
-                 n: int, negated: np.ndarray) -> np.ndarray:
-    # the artificial columns carry B^-1; undo the row negations of b >= 0
-    m = negated.size
-    duals = cost[basis] @ tableau[:, n:n + m]
+def _multipliers(cost: np.ndarray, basis: np.ndarray, state: np.ndarray,
+                 negated: np.ndarray) -> np.ndarray:
+    # c_B B^-1, with the row negations of b >= 0 undone
+    duals = cost[basis] @ state[:, :-1]
     duals[negated] *= -1.0
     return duals
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    basis[row] = col
+def _pivot(state: np.ndarray, basis: np.ndarray, row: int, entering: int,
+           column: np.ndarray) -> None:
+    # rank-1 update of [B^-1 | x_B]; column is B^-1 a_entering
+    pivot_row = state[row] / column[row]
+    state -= column[:, None] * pivot_row
+    state[row] = pivot_row
+    basis[row] = entering
 
 
-def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-               allowed: int, max_iter: int) -> int:
-    """Bland-rule simplex on the given tableau; returns iterations used.
+def _run_phase(state: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+               price: np.ndarray, max_iter: int) -> int:
+    """Bland-rule revised simplex; returns iterations used, or -1 when the
+    program is unbounded in the entering direction.
 
-    ``allowed`` bounds the column indices eligible to enter (used to keep
-    phase-1 artificials out of phase 2). The reduced-cost row is rebuilt
-    from the basis each iteration: slower but immune to drift.
+    ``state`` is [B^-1 | x_B] for the current ``basis``, updated in place.
+    The columns of ``price`` are the ones eligible to enter, with costs
+    ``cost`` (phase 2 passes A alone to keep the artificials out). Each
+    iteration prices every column from the original data with one product
+    (c_B B^-1) @ price, forms the entering column B^-1 a_q, and pivots
+    with a rank-1 update of ``state``: the m x (n+m) product, then O(m^2)
+    work. Reduced costs are never carried between iterations, so they
+    cannot drift.
     """
-    m = tableau.shape[0]
+    inverse = state[:, :-1]  # rows of B^-1, one per kept constraint
+    values = state[:, -1]
     iterations = 0
     while True:
         if iterations > max_iter:
             raise LPNumericalFailure(f"simplex exceeded {max_iter} pivots")
-        cb = cost[basis]
-        reduced = cost[:allowed] - cb @ tableau[:, :allowed]
-        entering = -1
-        for j in range(allowed):
-            if reduced[j] < -_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
+        reduced = cost - (cost[basis] @ inverse) @ price
+        improving = reduced < -_COST_TOL
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return iterations
+        column = inverse @ price[:, entering]
         ratios_row = -1
         best_ratio = np.inf
-        for r in range(m):
-            a = tableau[r, entering]
+        basic = basis.tolist()
+        for r, (a, value) in enumerate(zip(column.tolist(), values.tolist())):
             if a > _PIVOT_TOL:
-                ratio = tableau[r, -1] / a
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (ratios_row < 0 or basis[r] < basis[ratios_row])
+                ratio = value / a
+                if ratio < best_ratio - _TIE_TOL or (
+                    abs(ratio - best_ratio) <= _TIE_TOL
+                    and (ratios_row < 0 or basic[r] < basic[ratios_row])
                 ):
                     best_ratio = ratio
                     ratios_row = r
         if ratios_row < 0:
             return -1  # unbounded in the entering direction
-        _pivot(tableau, basis, ratios_row, entering)
+        _pivot(state, basis, ratios_row, entering, column)
         iterations += 1
 
 
@@ -108,45 +116,44 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     A[neg] *= -1.0
     b[neg] *= -1.0
 
-    tableau = np.zeros((m, n + m + 1))
-    tableau[:, :n] = A
-    tableau[:, n:n + m] = np.eye(m)
-    tableau[:, -1] = b
+    # the artificial basis starts as B = I, so state = [B^-1 | x_B] = [I | b]
+    state = np.hstack([np.eye(m), b[:, None]])
     basis = np.arange(n, n + m)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    used = _run_phase(tableau, basis, phase1_cost, n + m, max_iter)
+    used = _run_phase(state, basis, phase1_cost, np.hstack([A, np.eye(m)]), max_iter)
     if used < 0:
         raise LPNumericalFailure("phase-1 reported unbounded")
-    infeasibility = float(phase1_cost[basis] @ tableau[:, -1])
+    infeasibility = float(phase1_cost[basis] @ state[:, -1])
     if infeasibility > 1e-9:
         return LPResult("infeasible", np.full(n, np.nan), np.nan, used,
-                        _multipliers(phase1_cost, basis, tableau, n, neg))
+                        _multipliers(phase1_cost, basis, state, neg))
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep = np.ones(m, dtype=bool)
     for r in range(m):
         if basis[r] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[r, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, r, pivot_col)
+            row = np.abs(state[r, :m] @ A) > _PIVOT_TOL  # row r of B^-1 A
+            pivot_col = int(np.argmax(row))
+            if row[pivot_col]:
+                _pivot(state, basis, r, pivot_col, state[:, :m] @ A[:, pivot_col])
             else:
                 keep[r] = False
     if not np.all(keep):
-        tableau = tableau[keep]
+        state = state[keep]
         basis = basis[keep]
 
-    phase2_cost = np.concatenate([c, np.zeros(m)])
-    used2 = _run_phase(tableau, basis, phase2_cost, n, max_iter)
+    # every artificial has left the basis, so phase 2 prices A alone
+    used2 = _run_phase(state, basis, c, A, max_iter)
     if used2 < 0:
         return LPResult("unbounded", np.full(n, np.nan), -np.inf, used, np.full(m, np.nan))
 
+    # B^-1 a_q is formed afresh each pivot, so a degenerate basic value can
+    # come out as rounding residue; within the ratio test's tie tolerance
+    # it is zero
+    values = state[:, -1]
     x = np.zeros(n + m)
-    x[basis] = tableau[:, -1]
+    x[basis] = np.where(np.abs(values) <= _TIE_TOL, 0.0, values)
     x = x[:n]
     return LPResult("optimal", x, float(c @ x), used + used2,
-                    _multipliers(phase2_cost, basis, tableau, n, neg))
+                    _multipliers(c, basis, state, neg))

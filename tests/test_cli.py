@@ -44,7 +44,7 @@ class TestFitCommand:
         assert json.loads(out)["status"] == "Converged"
         assert len(calls) == 1
 
-    def test_forced_separated_fit_solves_two_small_programs(self, capsys, csvs, monkeypatch):
+    def test_forced_separated_fit_solves_one_small_program(self, capsys, csvs, monkeypatch):
         import binreg.overlap
         solve_lp = binreg.overlap.solve_lp
         rows = []
@@ -57,7 +57,7 @@ class TestFitCommand:
         code, out, _ = run_cli(capsys, "fit", "--csv", csvs["sep"], "--force")
         assert code == 0
         assert json.loads(out)["status"] == "Diverged"
-        assert rows == [3, 3]  # d+2 rows each: the verdict, then the direction
+        assert rows == [3]  # d+2 rows: the verdict and the direction
 
     def test_balanced_fit_json(self, capsys, csvs):
         code, out, _ = run_cli(capsys, "fit", "--link", "logit", "--csv", csvs["bal"])

@@ -50,6 +50,33 @@ class TestBuildDataset:
             ds.x[0, 0] = 5.0
 
 
+class TestArrayLabels:
+    def test_float_labels_accepted(self):
+        ds = dataset_from_arrays(np.arange(3.0), np.array([0.0, 1.0, 1.0]))
+        assert ds.y.dtype == np.int64
+        assert ds.y.tolist() == [0, 1, 1]
+        assert (ds.n0, ds.n1) == (1, 2)
+
+    def test_bool_labels_accepted(self):
+        ds = dataset_from_arrays(np.arange(3.0), np.array([True, False, True]))
+        assert ds.y.tolist() == [1, 0, 1]
+
+    def test_caller_array_not_frozen(self):
+        y = np.array([0, 1, 1])
+        dataset_from_arrays(np.arange(3.0), y)
+        y[0] = 1  # the dataset holds its own copy
+
+    @pytest.mark.parametrize("bad, shown", [(2.0, "2.0"), (math.nan, "nan")])
+    def test_first_bad_float_label_named(self, bad, shown):
+        y = np.array([0.0, 1.0, bad, 3.0])
+        with pytest.raises(NonBinaryLabel, match=f"^label {shown} is not 0 or 1$"):
+            dataset_from_arrays(np.arange(4.0), y)
+
+    def test_bad_integer_label_named(self):
+        with pytest.raises(NonBinaryLabel, match="^label 3 is not 0 or 1$"):
+            dataset_from_arrays(np.arange(3.0), np.array([0, 3, 1]))
+
+
 class TestGroupStats:
     def test_alternating(self):
         ds = dataset_from_arrays(np.array([0.0, 1, 2, 3]), [0, 1, 0, 1])

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, ConfigError, FitOptions,
                     Parameters, build_dataset, cone_overlap, dataset_from_arrays,
                     extended_design, fit, gen_separated, get_link, grid_mle,
-                    group_stats, hessian, log_likelihood, read_csv, score)
+                    group_stats, hessian, log_likelihood, read_csv, scalar_overlap,
+                    score, separating_direction)
 
 DATA = Path(__file__).parent / "data"
 
@@ -318,6 +319,42 @@ class TestFit:
         tol = 1e-8 * np.max(np.abs(z))
         assert z[ds.y == 1].min() >= -tol
         assert z[ds.y == 0].max() <= tol
+
+    @pytest.mark.parametrize("name", ["quasi_separated_tie", "quasi_separated_tie_pivots"])
+    def test_direction_of_given_report_is_reused(self, name, monkeypatch):
+        # the report's direction is in raw coordinates; fit maps it into
+        # its standardized ones instead of solving the cone program again
+        import binreg.mle as mle_mod
+        ds = read_csv(DATA / f"{name}.csv")
+        report = cone_overlap(extended_design(ds), ds.y)
+        assert report.direction is not None
+
+        def solve_again(*a, **k):
+            raise AssertionError("separating direction solved a second time")
+
+        monkeypatch.setattr(mle_mod, "separating_direction", solve_again)
+        fr = fit(ds, LOGIT, overlap=report)
+        assert fr.status == DIVERGED
+        assert fr.caveat is None
+        z = fr.params.alpha + ds.x @ fr.params.beta
+        tol = 1e-8 * np.max(np.abs(z))
+        assert z[ds.y == 1].min() >= -tol
+        assert z[ds.y == 0].max() <= tol
+
+    def test_scalar_report_direction_is_solved_for(self, monkeypatch):
+        import binreg.mle as mle_mod
+        ds = make_ds([1, 2, 3, 4], [0, 0, 1, 1])
+        report = scalar_overlap(ds)
+        assert report.verdict == "Separated" and report.direction is None
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(1)
+            return separating_direction(*a, **k)
+
+        monkeypatch.setattr(mle_mod, "separating_direction", counted)
+        assert fit(ds, LOGIT, overlap=report).status == DIVERGED
+        assert len(calls) == 1
 
     def test_cloglog_separated_reports_diverged(self):
         # far along the separating direction the cloglog Hessian weights are

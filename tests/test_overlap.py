@@ -248,6 +248,19 @@ class TestSeparatingDirection:
             assert proj[ds.y == 0].max() <= 1e-12 * scale
             assert np.linalg.norm(gamma[1:]) > 0.0
 
+    def test_report_carries_the_same_direction(self):
+        rng = np.random.default_rng(4)
+        sets = [tied_separated(rng, 30, 2), gen_separated(25, 3, 1),
+                make_ds([[0.0, 1.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [1, 0, 0, 0])]
+        for ds in sets:
+            report = cone_of(ds)
+            assert report.verdict == SEPARATED
+            assert np.array_equal(report.direction,
+                                  separating_direction(extended_design(ds), ds.y))
+
+    def test_overlap_report_carries_no_direction(self):
+        assert cone_of(make_ds([1, 3, 2, 4], [0, 0, 1, 1])).direction is None
+
     def test_strict_when_cone_program_infeasible(self):
         # the affine hulls of the groups (a point, a line) do not meet, so
         # the cone program has no solution and phase 1 supplies gamma

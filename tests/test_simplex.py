@@ -122,3 +122,60 @@ def test_infeasible_duals_are_a_farkas_certificate():
 def test_unbounded_duals_are_nan():
     res = solve_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
     assert np.all(np.isnan(res.duals))
+
+
+def cone_shaped_program(rng, n, d, tie=False):
+    """The (d+2)-row cone program of ``overlap`` on n random points:
+    u_i, v_j and t = tp - tm with sum(k) - sum(m) = 0, sum(k + m) = 1,
+    minimize -t. With ``tie`` the groups are split by a plane and one
+    mid-plane point is put in both, so the optimal margin is exactly 0."""
+    if tie:
+        x = rng.uniform(-1.0, 1.0, size=(n, d))
+        w = rng.normal(size=d)
+        w /= np.linalg.norm(w)
+        s = x @ w
+        y = (s > np.median(s)).astype(int)
+        x += np.outer(y, 0.2 * w)
+        tie = x[0] - (x[0] @ w - 0.1 - np.median(s)) * w
+        x[np.argmax(y == 1)] = x[np.argmax(y == 0)] = tie
+    else:
+        x = rng.normal(size=(n, d))
+        y = (rng.random(n) < 0.5).astype(int)
+    xt = np.column_stack([np.ones(n), x])
+    xt /= np.max(np.abs(xt), axis=0)
+    pos, neg = xt[y == 1], xt[y == 0]
+    t_col = pos.sum(axis=0) - neg.sum(axis=0)
+    A = np.vstack([
+        np.hstack([pos.T, -neg.T, t_col[:, None], -t_col[:, None]]),
+        np.concatenate([np.ones(n), [n, -n]]),
+    ])
+    b = np.zeros(d + 2)
+    b[-1] = 1.0
+    c = np.zeros(n + 2)
+    c[-2:] = [-1.0, 1.0]
+    return c, A, b
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wide_cone_programs_match_reference_solver(seed):
+    """n >> m, as in the cone program at large n: the optimum, primal
+    feasibility and the duals agree with an independent solver."""
+    rng = np.random.default_rng(2000 + seed)
+    c, A, b = cone_shaped_program(rng, 3000, 1 + seed)
+    ours = solve_lp(c, A, b)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert ours.status == "optimal" and ref.status == 0
+    assert ours.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert np.all(ours.x >= 0.0)
+    assert np.max(np.abs(A @ ours.x - b)) <= 1e-9
+    assert b @ ours.duals == pytest.approx(ours.objective, abs=1e-9)
+    assert np.all(A.T @ ours.duals <= c + 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tied_cone_program_margin_is_exactly_zero(seed):
+    # a degenerate basic t is reported as 0, not as rounding residue
+    c, A, b = cone_shaped_program(np.random.default_rng(3000 + seed), 60, 3, tie=True)
+    res = solve_lp(c, A, b)
+    assert res.status == "optimal"
+    assert res.x[-2] - res.x[-1] == 0.0
