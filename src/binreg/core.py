@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -175,53 +176,100 @@ def group_stats(ds: Dataset) -> GroupStats:
     return GroupStats(xbar0=xbar0, xbar1=xbar1, delta=delta)
 
 
+def _with_intercept(x: np.ndarray) -> np.ndarray:
+    """The n x (d+1) design [1 | x]."""
+    return np.column_stack([np.ones(x.shape[0]), x])
+
+
+def _numerical_rank(xt: np.ndarray, rank_tolerance: float) -> int:
+    """Count singular values above rank_tolerance times the largest."""
+    sv = np.linalg.svd(xt, compute_uv=False)
+    return int(np.sum(sv > rank_tolerance * sv[0])) if sv[0] > 0 else 0
+
+
 def extended_design(ds: Dataset, rank_tolerance: float = 1e-10) -> DesignMatrix:
     """Prepend the intercept column and compute the numerical rank via SVD.
 
     Singular values below rank_tolerance times the largest singular value
     count as zero. Callers decide what to do about rank deficiency.
     """
-    xt = np.column_stack([np.ones(ds.n), ds.x])
-    sv = np.linalg.svd(xt, compute_uv=False)
-    rank = int(np.sum(sv > rank_tolerance * sv[0])) if sv[0] > 0 else 0
+    xt = _with_intercept(ds.x)
+    rank = _numerical_rank(xt, rank_tolerance)
     xt.setflags(write=False)
     return DesignMatrix(xt=xt, rank_ok=(rank == ds.d + 1), rank_tolerance=rank_tolerance,
                         rank=rank)
+
+
+def _parse_cells(reader, header: Sequence[str], y_col: int) -> np.ndarray:
+    """Parse the data records one cell at a time with ``float``.
+
+    Raises CsvFormatError for a ragged row or a cell ``float`` rejects, and
+    NonFiniteValue for a NaN or infinite predictor, naming the file row
+    (header = row 0, blank lines counted), the column and its header name.
+    A bad cell anywhere takes precedence over a non-finite one.
+    """
+    rows = []
+    non_finite = None
+    for r, record in enumerate(reader, start=1):
+        if not record:  # blank line
+            continue
+        if len(record) != len(header):
+            raise CsvFormatError(f"row {r} has {len(record)} cells, expected {len(header)}")
+        vals = []
+        for c, cell in enumerate(record):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise CsvFormatError(
+                    f"non-numeric cell at row {r}, column {c} ({header[c]!r}): {cell!r}"
+                ) from None
+            if non_finite is None and c != y_col and not math.isfinite(vals[-1]):
+                non_finite = (
+                    f"non-finite predictor at row {r}, column {c} ({header[c]!r}): {cell!r}")
+        rows.append(vals)
+    if not rows:
+        raise CsvFormatError("no data rows")
+    if non_finite is not None:
+        raise NonFiniteValue(non_finite)
+    return np.asarray(rows, dtype=float)
 
 
 def read_csv(path) -> Dataset:
     """Load a dataset from CSV: header required, one column named 'y' with
     0/1 values, all other columns numeric predictors in header order.
     Blank lines are skipped; row numbers in errors count file rows.
+
+    The data records are parsed in one call to numpy's C text reader.
+    Whenever it fails (a bad cell, a ragged row, a cell ``float`` accepts
+    but numpy does not, such as ``1_000``), finds no rows or returns a
+    non-finite predictor, the records are parsed again one cell at a time
+    with ``float``, which either names the failing row, column and header
+    or returns the values ``float`` gives. A non-finite label is left to
+    ``dataset_from_arrays``, which raises NonBinaryLabel.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        # readline, not iteration, so that fh.tell() marks the first data row
         try:
-            header = next(reader)
+            header = next(csv.reader(iter(fh.readline, "")))
         except StopIteration:
             raise CsvFormatError("empty file: header row required") from None
         header = [h.strip() for h in header]
         if header.count("y") != 1:
             raise CsvFormatError("header must contain exactly one column named 'y'")
         y_col = header.index("y")
-        rows = []
-        for r, record in enumerate(reader, start=1):
-            if not record:  # blank line
-                continue
-            if len(record) != len(header):
-                raise CsvFormatError(f"row {r} has {len(record)} cells, expected {len(header)}")
-            vals = []
-            for c, cell in enumerate(record):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"non-numeric cell at row {r}, column {c} ({header[c]!r}): {cell!r}"
-                    ) from None
-            rows.append(vals)
-    if not rows:
-        raise CsvFormatError("no data rows")
-    data = np.asarray(rows, dtype=float)
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                  ndmin=2, dtype=float)
+        except ValueError:
+            data = None
+        if (data is None or data.shape[0] == 0 or data.shape[1] != len(header)
+                or not np.isfinite(data).all()):
+            fh.seek(body)
+            data = _parse_cells(csv.reader(fh), header, y_col)
     y_raw = data[:, y_col]
     x = np.delete(data, y_col, axis=1)
     if x.shape[1] == 0:

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BinregError, Dataset
+from .core import BinregError, Dataset, _numerical_rank, _with_intercept
 from .links import LinkFamily
 from .overlap import (DEGENERATE, SEPARATED, OverlapReport, cone_overlap,
                       scalar_overlap, separating_direction)
@@ -77,10 +77,6 @@ def _theta(p: Parameters) -> np.ndarray:
     return np.concatenate([[p.alpha], np.asarray(p.beta, dtype=float)])
 
 
-def _extended(ds: Dataset) -> np.ndarray:
-    return np.column_stack([np.ones(ds.n), ds.x])
-
-
 def _loglik(xt: np.ndarray, y: np.ndarray, link: LinkFamily, theta: np.ndarray) -> float:
     z = xt @ theta
     terms = np.where(y == 1, link.log_cdf(z), link.log_sf(z))
@@ -119,17 +115,17 @@ def log_likelihood(ds: Dataset, link: LinkFamily, p: Parameters) -> float:
     May be -inf for bounded-support links when some z falls outside the
     support on the wrong side.
     """
-    return _loglik(_extended(ds), ds.y, link, _theta(p))
+    return _loglik(_with_intercept(ds.x), ds.y, link, _theta(p))
 
 
 def score(ds: Dataset, link: LinkFamily, p: Parameters) -> np.ndarray:
     """Gradient of the log likelihood in (alpha, beta); length d+1."""
-    return _derivatives(_extended(ds), ds.y, link, _theta(p))[0]
+    return _derivatives(_with_intercept(ds.x), ds.y, link, _theta(p))[0]
 
 
 def hessian(ds: Dataset, link: LinkFamily, p: Parameters) -> np.ndarray:
     """Analytic second derivative matrix; symmetric, (d+1) x (d+1)."""
-    return _derivatives(_extended(ds), ds.y, link, _theta(p))[1]
+    return _derivatives(_with_intercept(ds.x), ds.y, link, _theta(p))[1]
 
 
 def _ascent_direction(H: np.ndarray, g: np.ndarray, ridge: float) -> np.ndarray:
@@ -266,6 +262,8 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     ``scalar_overlap``, or ``cone_overlap`` on ``extended_design(ds)``); its
     verdict is used instead of solving the cone program again, and on
     separated data so is its separating direction, if it carries one.
+    Without a report, fit solves the cone program once and takes both the
+    verdict and the direction from it.
 
     Status values: Converged (score within tolerance at an interior
     maximum), Diverged (groups separated; slope escaped the bound with the
@@ -279,26 +277,26 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     opts.validate()
 
     xs, center, spread = _standardize(ds.x)
-    xt = np.column_stack([np.ones(ds.n), xs])
+    xt = _with_intercept(xs)
     y = ds.y
-
-    sv = np.linalg.svd(xt, compute_uv=False)
-    rank = int(np.sum(sv > opts.rank_tolerance * sv[0])) if sv[0] > 0 else 0
-    rank_ok = rank == ds.d + 1
+    rank_ok = _numerical_rank(xt, opts.rank_tolerance) == ds.d + 1
 
     p_hat = ds.n1 / ds.n
     theta0 = np.zeros(ds.d + 1)
     theta0[0] = link.inverse(p_hat)
 
-    verdict = None if overlap is None else overlap.verdict
-    if rank_ok and overlap is None:
+    report = overlap
+    own_cone = False  # report solved here, so its direction is in xt's coordinates
+    if rank_ok and report is None:
         try:
-            verdict = cone_overlap(xt, y).verdict
+            report = cone_overlap(xt, y)
+            own_cone = True
         except LPNumericalFailure:
             if ds.d == 1:
-                verdict = scalar_overlap(ds).verdict
+                report = scalar_overlap(ds)
             # otherwise proceed as if overlapping; Newton's own divergence
             # bound remains as a backstop
+    verdict = None if report is None else report.verdict
 
     trace = _Trace()
     caveat = None
@@ -308,8 +306,12 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
         status = NOT_UNIQUE
         caveat = "design matrix is rank-deficient; maximizer is not unique"
     elif verdict == SEPARATED or verdict == DEGENERATE:
-        if overlap is not None and overlap.direction is not None:
-            gamma = _to_standardized(overlap.direction, center, spread)
+        if own_cone:
+            # None here means t* > 0, which separating_direction on the
+            # same program would only confirm
+            gamma = report.direction
+        elif report.direction is not None:
+            gamma = _to_standardized(report.direction, center, spread)
         else:
             gamma = separating_direction(xt, y)
         if gamma is None:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from binreg import (CsvFormatError, DimensionMismatch, EmptyGroup,
                     NonBinaryLabel, NonFiniteValue, build_dataset,
-                    dataset_from_arrays, extended_design, group_stats,
-                    read_csv)
+                    dataset_from_arrays, extended_design, gen_gaussian,
+                    gen_overlapping, gen_separated, group_stats, read_csv)
+from binreg.cli import main
 
 
 class TestBuildDataset:
@@ -197,4 +200,90 @@ class TestCsv:
         path = tmp_path / "blank_bad.csv"
         path.write_text("x,y\n1,0\n\noops,1\n")
         with pytest.raises(CsvFormatError, match=r"row 3, column 0"):
+            read_csv(path)
+
+    def test_17_digit_cells_parse_as_float_does(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2000, 5)) * 10.0 ** rng.integers(-8, 9, size=(2000, 5))
+        lines = ["x0,x1,x2,y,x3,x4"]
+        for i, row in enumerate(x):
+            cells = ["%.17g" % v for v in row]
+            cells.insert(3, str(i % 2))
+            lines.append(",".join(cells))
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n")
+        expected = np.array([[float(c) for j, c in enumerate(line.split(",")) if j != 3]
+                             for line in lines[1:]])
+        ds = read_csv(path)
+        assert ds.x.tobytes() == expected.tobytes()
+        assert ds.y.tolist() == [i % 2 for i in range(2000)]
+
+    @pytest.mark.parametrize("kind, gen", [
+        ("overlapping", lambda: gen_overlapping(200, 3, 9)),
+        ("separated", lambda: gen_separated(200, 3, 9)),
+        ("gaussian", lambda: gen_gaussian(200, [0.0], [1.0], 1.0, 9)),
+    ])
+    def test_simulated_csv_reads_back_exactly(self, tmp_path, kind, gen):
+        path = tmp_path / "sim.csv"
+        d = "1" if kind == "gaussian" else "3"
+        assert main(["simulate", "--kind", kind, "--n", "200", "--d", d,
+                     "--seed", "9", "--out", str(path)]) == 0
+        ds, expected = read_csv(path), gen()
+        assert ds.x.tobytes() == expected.x.tobytes()
+        assert ds.y.tolist() == expected.y.tolist()
+
+    @pytest.mark.parametrize("text, x", [
+        ('x , y \r\n"1.5", 0 \r\n 2.5 ,"1"\r\n', [1.5, 2.5]),  # quotes, padding, CRLF
+        ("x,y\n1,0\n2,1", [1.0, 2.0]),                            # no final newline
+        ("x,y\n1,0\n2,1\n\n\n", [1.0, 2.0]),                       # trailing blank lines
+        ("x,y\n1_000,0\n2,1\n", [1000.0, 2.0]),                    # float() accepts, numpy not
+        ("x,y\n1,0\n2,1\n3_0.5,0\n", [1.0, 2.0, 30.5]),
+    ])
+    def test_untidy_cells_accepted(self, tmp_path, text, x):
+        path = tmp_path / "untidy.csv"
+        path.write_bytes(text.encode())
+        ds = read_csv(path)
+        assert ds.x[:, 0].tolist() == x
+        assert ds.y.tolist() == [0, 1, 0][:len(x)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n1,0\n   \n2,1\n", "row 2 has 1 cells, expected 2"),  # whitespace-only line
+        ("x,y\n1,0\n\n \n2,1\n", "row 3 has 1 cells, expected 2"),
+        ("x,y\n#1,0\n2,1\n", "non-numeric cell at row 1, column 0 ('x'): '#1'"),
+        ("x,y\n0x10,0\n2,1\n", "non-numeric cell at row 1, column 0 ('x'): '0x10'"),
+        ("x,y\n1,0\n,1\n", "non-numeric cell at row 2, column 0 ('x'): ''"),
+        ("x,y\n1,0\n2,1,3\n", "row 2 has 3 cells, expected 2"),
+        ("x,y\n1,0,5\n2,1,3\n", "row 1 has 3 cells, expected 2"),  # every row ragged alike
+        ("x,y\nnan,0\noops,1\n", "non-numeric cell at row 2, column 0 ('x'): 'oops'"),
+        ("x,y\n\n\n", "no data rows"),
+        ("y\n", "no data rows"),
+    ])
+    def test_bad_cells_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            read_csv(path)
+
+    def test_header_only_raises_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="no data rows"):
+                read_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n1,0\n\nnan,1\n", "non-finite predictor at row 3, column 0 ('x'): 'nan'"),
+        ("y,x\n0,1\n1,inf\n", "non-finite predictor at row 2, column 1 ('x'): 'inf'"),
+    ])
+    def test_non_finite_predictor_names_file_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(text)
+        with pytest.raises(NonFiniteValue, match=f"^{re.escape(message)}$"):
+            read_csv(path)
+
+    def test_non_finite_label_is_non_binary(self, tmp_path):
+        path = tmp_path / "nanlabel.csv"
+        path.write_text("x,y\n1,nan\n2,1\n")
+        with pytest.raises(NonBinaryLabel):
             read_csv(path)

@@ -285,6 +285,7 @@ class TestFit:
 
         class FakeReport:
             verdict = "Separated"
+            direction = None
 
         monkeypatch.setattr(mle_mod, "cone_overlap", lambda *a, **k: FakeReport())
         monkeypatch.setattr(mle_mod, "separating_direction", lambda *a, **k: None)
@@ -354,6 +355,21 @@ class TestFit:
 
         monkeypatch.setattr(mle_mod, "separating_direction", counted)
         assert fit(ds, LOGIT, overlap=report).status == DIVERGED
+        assert len(calls) == 1
+
+    def test_separated_fit_without_report_solves_one_program(self, monkeypatch):
+        # fit's own cone report already carries the direction in its
+        # standardized coordinates
+        import binreg.overlap
+        solve_lp = binreg.overlap.solve_lp
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(1)
+            return solve_lp(*a, **k)
+
+        monkeypatch.setattr(binreg.overlap, "solve_lp", counted)
+        assert fit(gen_separated(40, 3, 0), LOGIT).status == DIVERGED
         assert len(calls) == 1
 
     def test_cloglog_separated_reports_diverged(self):
