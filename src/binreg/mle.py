@@ -271,7 +271,9 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     numerically rank-deficient; the returned point still maximizes the
     likelihood but not uniquely). Non-log-concave links are fitted from
     ``options.starts`` spread starting points and the best local optimum is
-    returned with a caveat.
+    returned with a caveat. When the cone program fails numerically at
+    d > 1, the fit proceeds as if the groups overlap and its caveat names
+    the failure.
     """
     opts = options or FitOptions()
     opts.validate()
@@ -287,15 +289,18 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
 
     report = overlap
     own_cone = False  # report solved here, so its direction is in xt's coordinates
+    lp_caveat = None
     if rank_ok and report is None:
         try:
             report = cone_overlap(xt, y)
             own_cone = True
-        except LPNumericalFailure:
+        except LPNumericalFailure as exc:
             if ds.d == 1:
                 report = scalar_overlap(ds)
-            # otherwise proceed as if overlapping; Newton's own divergence
-            # bound remains as a backstop
+            else:
+                # proceed as if overlapping, and say so; Newton's own
+                # divergence bound remains as a backstop
+                lp_caveat = f"cone program failed: {exc}; existence not certified"
     verdict = None if report is None else report.verdict
 
     trace = _Trace()
@@ -359,6 +364,6 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
         iterations=trace.iterations,
         status=status,
         hessian_condition=hess_cond,
-        caveat=caveat,
+        caveat="; ".join(filter(None, (lp_caveat, caveat))) or None,
         history=tuple(trace.history),
     )

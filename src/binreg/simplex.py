@@ -1,10 +1,13 @@
-"""Two-phase revised simplex with Bland's anti-cycling rule.
+"""Two-phase revised simplex, priced by Dantzig's rule with a Bland fallback.
 
 Solves  min c'x  s.t.  Ax = b, x >= 0  exactly enough for the one program
 this package builds: the cone feasibility LP of ``overlap``, with d+2 rows
-and one column per observation, highly degenerate. Bland's rule guarantees
-finite termination on degenerate bases where a largest-coefficient rule
-can cycle. The solver keeps only B^-1 and the basic values, m x (m+1)
+and one column per observation, highly degenerate. The entering column is
+the one with the most negative reduced cost (Dantzig's rule), which takes
+far fewer pivots on this program than the smallest eligible index; after a
+long run of degenerate pivots the solver switches to Bland's
+smallest-index rule, which cannot cycle (Bland 1977), until a pivot makes
+progress again. The solver keeps only B^-1 and the basic values, m x (m+1)
 numbers, and never forms B^-1 A: a pivot costs one m x (n+m) pricing
 product over the original columns, then O(m^2) work, instead of an update
 of every cell of an m x (n+m+1) tableau. The optimal simplex multipliers
@@ -22,6 +25,7 @@ from .core import BinregError
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-11
 _TIE_TOL = 1e-12  # ratio-test ties; smaller basic values are zero
+_DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule
 
 
 class LPNumericalFailure(BinregError):
@@ -58,8 +62,8 @@ def _pivot(state: np.ndarray, basis: np.ndarray, row: int, entering: int,
 
 def _run_phase(state: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                price: np.ndarray, max_iter: int) -> int:
-    """Bland-rule revised simplex; returns iterations used, or -1 when the
-    program is unbounded in the entering direction.
+    """Revised simplex on one phase; returns iterations used, or -1 when
+    the program is unbounded in the entering direction.
 
     ``state`` is [B^-1 | x_B] for the current ``basis``, updated in place.
     The columns of ``price`` are the ones eligible to enter, with costs
@@ -69,17 +73,30 @@ def _run_phase(state: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     with a rank-1 update of ``state``: the m x (n+m) product, then O(m^2)
     work. Reduced costs are never carried between iterations, so they
     cannot drift.
+
+    The reduced costs of basic columns are set to exactly 0 before
+    pricing: recomputed, they can come out below -tolerance by rounding,
+    and a basic column that entered would pivot into its own row and
+    change nothing, again and again. The entering column has the most
+    negative reduced cost (Dantzig's rule). After ``_DEGENERATE_RUN``
+    consecutive pivots of step length zero it is the smallest eligible
+    index (Bland's rule), until a pivot makes progress; Bland's rule cannot
+    cycle, so the phase terminates.
     """
     inverse = state[:, :-1]  # rows of B^-1, one per kept constraint
     values = state[:, -1]
     iterations = 0
+    degenerate = 0  # consecutive pivots with a zero step
     while True:
         if iterations > max_iter:
             raise LPNumericalFailure(f"simplex exceeded {max_iter} pivots")
         reduced = cost - (cost[basis] @ inverse) @ price
-        improving = reduced < -_COST_TOL
-        entering = int(improving.argmax())
-        if not improving[entering]:
+        reduced[basis] = 0.0  # every basic column is a column of price
+        if degenerate < _DEGENERATE_RUN:
+            entering = int(reduced.argmin())
+        else:
+            entering = int((reduced < -_COST_TOL).argmax())
+        if not reduced[entering] < -_COST_TOL:
             return iterations
         column = inverse @ price[:, entering]
         ratios_row = -1
@@ -98,6 +115,7 @@ def _run_phase(state: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             return -1  # unbounded in the entering direction
         _pivot(state, basis, ratios_row, entering, column)
         iterations += 1
+        degenerate = degenerate + 1 if best_ratio <= _TIE_TOL else 0
 
 
 def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray,

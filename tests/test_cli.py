@@ -1,8 +1,15 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from binreg import read_csv
 from binreg.cli import main
+
+# set 1900 of a seeded stream of strictly separated n=100, d=3 sets, on
+# which the cone simplex once repeated a no-op pivot until its budget ran out
+LIVELOCK = Path(__file__).parent / "data" / "separated_pivot_livelock.csv"
 
 
 BALANCED = "x,y\n0,1\n1,0\n2,0\n3,1\n"
@@ -82,6 +89,17 @@ class TestFitCommand:
         assert payload["status"] == "Diverged"
         assert payload["beta"][0] > 1e3
 
+    def test_forced_fit_on_pivot_livelock_set_diverges(self, capsys):
+        code, out, _ = run_cli(capsys, "fit", "--csv", str(LIVELOCK), "--force")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "Diverged"
+        ds = read_csv(LIVELOCK)
+        z = payload["alpha"] + ds.x @ np.array(payload["beta"])
+        tol = 1e-8 * np.max(np.abs(z))
+        assert z[ds.y == 1].min() >= -tol
+        assert z[ds.y == 0].max() <= tol
+
     def test_json_out_file(self, capsys, csvs, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run_cli(capsys, "fit", "--csv", csvs["olap"], "--json-out", str(target))
@@ -101,6 +119,11 @@ class TestOverlapCommand:
         payload = json.loads(out)
         assert payload["verdict"] == "Separated"
         assert payload["direction_hint"] == 1
+
+    def test_pivot_livelock_set_is_separated(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "--csv", str(LIVELOCK))
+        assert code == 2
+        assert json.loads(out)["verdict"] == "Separated"
 
     def test_overlap_scalar_method(self, capsys, csvs):
         code, out, _ = run_cli(capsys, "overlap", "--csv", csvs["olap"], "--method", "scalar")

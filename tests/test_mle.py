@@ -293,6 +293,42 @@ class TestFit:
         assert fr.status == CONVERGED
         assert "fragile" in fr.caveat
 
+    @pytest.mark.parametrize("name", ["logit", "cauchit"])
+    def test_cone_program_failure_is_named_in_caveat(self, name, monkeypatch):
+        # at d > 1 a failed cone program leaves existence uncertified; fit
+        # still runs Newton, and says so next to any other caveat
+        import binreg.mle as mle_mod
+        from binreg import LPNumericalFailure
+        ds = make_ds([[0, 0], [1, 0], [0, 1]] * 2, [0, 0, 0, 1, 1, 1])
+        base = fit(ds, get_link(name))
+
+        def fail(*a, **k):
+            raise LPNumericalFailure("simplex exceeded 9 pivots")
+
+        monkeypatch.setattr(mle_mod, "cone_overlap", fail)
+        fr = fit(ds, get_link(name))
+        assert fr.status == base.status == CONVERGED
+        assert fr.params.alpha == base.params.alpha
+        assert list(fr.params.beta) == list(base.params.beta)
+        named = "cone program failed: simplex exceeded 9 pivots; existence not certified"
+        if name == "logit":
+            assert base.caveat is None and fr.caveat == named
+        else:
+            assert "multi-start" in base.caveat
+            assert fr.caveat == named + "; " + base.caveat
+
+    def test_cone_program_failure_at_d1_uses_the_scalar_verdict(self, monkeypatch):
+        import binreg.mle as mle_mod
+        from binreg import LPNumericalFailure
+
+        def fail(*a, **k):
+            raise LPNumericalFailure("simplex exceeded 9 pivots")
+
+        monkeypatch.setattr(mle_mod, "cone_overlap", fail)
+        fr = fit(make_ds([1, 2, 3, 4], [0, 0, 1, 1]), LOGIT)
+        assert fr.status == DIVERGED
+        assert fr.caveat is None
+
     def test_given_overlap_report_is_not_recomputed(self, monkeypatch):
         import binreg.mle as mle_mod
         ds = make_ds([1, 3, 2, 4], [0, 0, 1, 1])

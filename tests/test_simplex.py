@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from binreg import LPNumericalFailure, solve_lp
+from binreg.simplex import _run_phase
 
 
 def test_basic_optimum():
@@ -44,6 +45,51 @@ def test_beale_degenerate_cycle_guard():
     res = solve_lp(c, A, b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05, abs=1e-10)
+
+
+def test_beale_from_slack_basis_leaves_the_cycle():
+    """From its slack basis (columns 4, 5, 6), most-negative pricing alone
+    cycles on Beale's program forever; the switch to Bland's rule after a
+    run of degenerate pivots must end it at -1/20."""
+    A = np.array([
+        [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+        [0.50, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+        [0.00, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    b = np.array([0.0, 0.0, 1.0])
+    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
+    state = np.hstack([np.eye(3), b[:, None]])
+    basis = np.array([4, 5, 6])
+    used = _run_phase(state, basis, c, A, max_iter=1000)
+    assert 0 < used <= 1000
+    assert c[basis] @ state[:, -1] == pytest.approx(-0.05, abs=1e-12)
+
+
+def test_most_negative_reduced_cost_enters():
+    # from the slack basis the reduced costs are c itself; one pivot, then
+    # the budget stops the phase
+    state = np.hstack([np.eye(2), np.array([[4.0], [6.0]])])
+    basis = np.array([3, 4])
+    A = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 2.0, 3.0, 0.0, 1.0]])
+    c = np.array([-1.0, -3.0, -2.0, 0.0, 0.0])
+    with pytest.raises(LPNumericalFailure):
+        _run_phase(state, basis, c, A, max_iter=0)
+    assert 1 in basis and 0 not in basis
+
+
+def test_basic_column_never_enters():
+    """B^-1 as kept after rounding: the basic column's recomputed reduced
+    cost, -1 + (1 - 1e-9), is below -tolerance. Entering, it would pivot
+    into its own row and change nothing, so it must be left out."""
+    A = np.array([[1.0, 2.0]])
+    c = np.array([-1.0, -1.9])
+    state = np.array([[1.0 - 1e-9, 0.5]])
+    basis = np.array([0])
+    assert c[1] - c[0] * state[0, 0] * A[0, 1] > 0.0  # column 1 does not improve
+    before = state.copy()
+    assert _run_phase(state, basis, c, A, max_iter=10) == 0
+    assert list(basis) == [0]
+    assert np.array_equal(state, before)
 
 
 def test_redundant_rows_handled():
