@@ -9,6 +9,16 @@ unique maximizer; when they are separated, the fit follows a certified
 separating direction with doubling steps, along which the log likelihood
 is provably nondecreasing, until the slope norm crosses the divergence
 bound, and reports Diverged with the last iterate.
+
+Each Newton step is damped by Armijo backtracking over the steps 1, 1/2,
+..., 2**(1 - max_halvings). Step 1 is one log likelihood evaluation; when
+it fails, the remaining halvings are evaluated in blocks with one link call
+per block, the block sized so candidates x rows stays under a small element
+budget (every halving in one block at suite sizes, one per block on large
+data), and the first passing step is taken. The candidates' linear
+predictors come from a stacked matrix-vector product that rounds exactly
+as the single-candidate one, so the search accepts the same step, bit for
+bit, as trying the halvings one at a time.
 """
 
 from __future__ import annotations
@@ -148,6 +158,59 @@ def _hessian_condition(H: np.ndarray) -> float:
     return float(evals.max() / evals.min())
 
 
+# Bound on candidates x rows per link call when the line search backtracks:
+# suite-sized fits (n <= 40) try every halving in one call, and above
+# n = 2048 the search goes one halving at a time.
+_LINE_SEARCH_ELEMENTS = 4096
+
+
+def _loglik_rows(xt, y, link, cands: np.ndarray) -> np.ndarray:
+    """``_loglik`` at each row of ``cands``, bit-identical to calling it row
+    by row. The stacked product runs one matrix-vector product per
+    candidate, which rounds exactly as ``xt @ cand``; ``cands @ xt.T`` is one
+    matrix-matrix product that sums in another order. A row sum of the
+    C-contiguous term array takes the same pairwise summation as ``np.sum``
+    of one row."""
+    z = np.matmul(xt[None], cands[:, :, None])[:, :, 0]
+    terms = np.where(y == 1, link.log_cdf(z), link.log_sf(z))
+    return terms.sum(axis=1)
+
+
+def _armijo_step(xt, y, link, theta, f, direction, slope, opts: FitOptions):
+    """First step of 1, 1/2, ..., 2**(1 - max_halvings) along ``direction``
+    whose log likelihood is finite and passes the Armijo test. Returns
+    (candidate, its log likelihood), or None when no step passes.
+
+    Step 1, accepted in most Newton iterations, is one ``_loglik`` call. The
+    halvings after it are evaluated in blocks of candidates, one link call
+    per block (``_LINE_SEARCH_ELEMENTS``), and the first passing step of a
+    block is taken, so the result is that of trying the steps one by one.
+    """
+    # near the optimum the true gain underflows below the float
+    # resolution of the objective; the noise allowance lets the final
+    # full Newton steps through instead of stalling on one-ulp dips
+    noise = 1e-12 * (1.0 + abs(f))
+
+    def passes(values, steps):
+        return np.isfinite(values) & (values >= f + opts.armijo * steps * slope - noise)
+
+    cand = theta + direction
+    f_cand = _loglik(xt, y, link, cand)
+    if passes(f_cand, 1.0):
+        return cand, f_cand
+    steps = np.ldexp(1.0, -np.arange(opts.max_halvings))
+    block = max(1, _LINE_SEARCH_ELEMENTS // xt.shape[0])
+    for start in range(1, opts.max_halvings, block):
+        tried = steps[start:start + block]
+        cands = theta + tried[:, None] * direction
+        values = _loglik_rows(xt, y, link, cands)
+        ok = passes(values, tried)
+        if ok.any():
+            first = int(np.argmax(ok))
+            return cands[first], float(values[first])
+    return None
+
+
 class _Trace:
     def __init__(self):
         self.history = []
@@ -160,7 +223,8 @@ class _Trace:
 
 def _newton(xt, y, link, theta, opts: FitOptions, trace: _Trace,
             max_iter: Optional[int] = None, stop_on_score: bool = True):
-    """Damped Newton with Armijo backtracking. Returns (theta, flag)."""
+    """Damped Newton with Armijo backtracking (see ``_armijo_step``).
+    Returns (theta, flag)."""
     limit = opts.max_iter if max_iter is None else max_iter
     f = _loglik(xt, y, link, theta)
     for _ in range(limit):
@@ -173,23 +237,12 @@ def _newton(xt, y, link, theta, opts: FitOptions, trace: _Trace,
         slope = float(g @ direction)
         if not np.isfinite(slope) or slope <= 0:
             return theta, "stalled"
-        step = 1.0
-        accepted = False
-        # near the optimum the true gain underflows below the float
-        # resolution of the objective; the noise allowance lets the final
-        # full Newton steps through instead of stalling on one-ulp dips
-        noise = 1e-12 * (1.0 + abs(f))
-        for _ in range(opts.max_halvings):
-            cand = theta + step * direction
-            f_cand = _loglik(xt, y, link, cand)
-            if np.isfinite(f_cand) and f_cand >= f + opts.armijo * step * slope - noise:
-                theta, f = cand, max(f, f_cand)
-                trace.accept(f_cand)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        accepted = _armijo_step(xt, y, link, theta, f, direction, slope, opts)
+        if accepted is None:
             return theta, "stalled"
+        theta, f_cand = accepted
+        f = max(f, f_cand)
+        trace.accept(f_cand)
     g, _ = _derivatives(xt, y, link, theta)
     if stop_on_score and np.max(np.abs(g)) <= opts.tol:
         return theta, "converged"

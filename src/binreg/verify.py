@@ -199,6 +199,12 @@ def _derived_seed(seed: int, trial: int) -> int:
 def gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500) -> Dataset:
     """Random dataset rejected-and-retried until the cone test says Overlap
     (and the extended design has full rank)."""
+    return _gen_overlapping(n, d, seed, max_tries)[0]
+
+
+def _gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500):
+    """``gen_overlapping``'s dataset and the Overlap report that accepted it,
+    which a suite trial passes to ``fit`` so the cone program is solved once."""
     if n < d + 2:
         raise GenerationFailure(f"need n >= d+2 to overlap, got n={n}, d={d}")
     rng = CounterRng(seed)
@@ -212,10 +218,11 @@ def gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500) -> Dataset:
         if not dm.rank_ok:
             continue
         try:
-            if cone_overlap(dm, ds.y).verdict == OVERLAP:
-                return ds
+            report = cone_overlap(dm, ds.y)
         except LPNumericalFailure:
             continue
+        if report.verdict == OVERLAP:
+            return ds, report
     raise GenerationFailure(f"no overlapping dataset after {max_tries} tries (seed={seed})")
 
 
@@ -323,8 +330,8 @@ def run_sign_suite(link: LinkFamily, trials: int, seed: int,
         s = _derived_seed(seed, t)
         rng = CounterRng(s)
         n = rng.randint(*n_range)
-        ds = gen_overlapping(n, 1, _derived_seed(s, 1))
-        fr = fit(ds, link)
+        ds, report = _gen_overlapping(n, 1, _derived_seed(s, 1))
+        fr = fit(ds, link, overlap=report)
         gs = group_stats(ds)
         if fr.status not in (CONVERGED, DIVERGED):
             return False, float("-inf"), f"trial {t}: unexpected status {fr.status}"
@@ -364,8 +371,8 @@ def run_angle_suite(link: LinkFamily, d: int, trials: int, seed: int,
         s = _derived_seed(seed, t)
         rng = CounterRng(s)
         n = rng.randint(max(n_range[0], d + 2), n_range[1])
-        ds = gen_overlapping(n, d, _derived_seed(s, 1))
-        fr = fit(ds, link)
+        ds, report = _gen_overlapping(n, d, _derived_seed(s, 1))
+        fr = fit(ds, link, overlap=report)
         gs = group_stats(ds)
         if fr.status != CONVERGED or np.linalg.norm(gs.delta) <= 1e-6:
             return None

@@ -11,6 +11,11 @@ from binreg.cli import main
 # which the cone simplex once repeated a no-op pivot until its budget ran out
 LIVELOCK = Path(__file__).parent / "data" / "separated_pivot_livelock.csv"
 
+# `binreg verify --trials 40 --seed 7` as written before the Newton line
+# search evaluated its halvings in batches; a change that moves verify
+# outputs on purpose regenerates this file and says so
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_trials40_seed7.json"
+
 
 BALANCED = "x,y\n0,1\n1,0\n2,0\n3,1\n"
 SEPARATED = "x,y\n1,0\n2,0\n3,1\n4,1\n"
@@ -156,6 +161,11 @@ class TestVerifyCommand:
         payload = json.loads(out)
         theorems = {r["theorem"] for r in payload["results"]}
         assert theorems == {"SignMatch", "ZeroIffEqualMeans", "AcuteAngle"}
+
+    def test_output_bytes_match_the_committed_run(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--trials", "40", "--seed", "7")
+        assert code == 0
+        assert out.encode() == VERIFY_GOLDEN.read_bytes()
 
     def test_reproducible(self, capsys):
         args = ("verify", "--theorem", "zero", "--link", "logit", "--trials", "8", "--seed", "5")

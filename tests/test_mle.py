@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import binreg.mle as mle
 from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, ConfigError, FitOptions,
                     Parameters, build_dataset, cone_overlap, dataset_from_arrays,
-                    extended_design, fit, gen_separated, get_link, grid_mle,
+                    extended_design, fit, gen_overlapping, gen_separated, get_link, grid_mle,
                     group_stats, hessian, log_likelihood, read_csv, scalar_overlap,
                     score, separating_direction)
 
@@ -439,3 +440,163 @@ class TestFit:
         assert fr.params.alpha == pytest.approx(oracle.alpha, abs=1e-3)
         assert fr.params.beta[0] == pytest.approx(oracle.beta[0], abs=1e-3)
         assert fr.loglik == pytest.approx(log_likelihood(ds, LOGIT, oracle), abs=1e-6)
+
+
+def sequential_armijo(xt, y, link, theta, f, direction, slope, opts):
+    """Reference backtracking: the steps 1, 1/2, ... tried one at a time,
+    one ``_loglik`` each. Returns (candidate, its log likelihood, halvings
+    taken) or None."""
+    step = 1.0
+    noise = 1e-12 * (1.0 + abs(f))
+    for k in range(opts.max_halvings):
+        cand = theta + step * direction
+        f_cand = mle._loglik(xt, y, link, cand)
+        if np.isfinite(f_cand) and f_cand >= f + opts.armijo * step * slope - noise:
+            return cand, f_cand, k
+        step *= 0.5
+    return None
+
+
+def newton_walk(xt, y, link, theta, opts, iters):
+    """Yield (theta, f, direction, slope) at successive Newton iterates,
+    advanced by the sequential reference search."""
+    f = mle._loglik(xt, y, link, theta)
+    for _ in range(iters):
+        g, H = mle._derivatives(xt, y, link, theta)
+        direction = mle._ascent_direction(H, g, opts.ridge)
+        slope = float(g @ direction)
+        if not np.isfinite(slope) or slope <= 0:
+            return
+        yield theta, f, direction, slope
+        found = sequential_armijo(xt, y, link, theta, f, direction, slope, opts)
+        if found is None:
+            return
+        theta, f = found[0], max(f, found[1])
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def record_shapes(monkeypatch, link):
+    shapes = []
+    log_cdf = link.log_cdf
+
+    def recording(z):
+        shapes.append(np.shape(z))
+        return log_cdf(z)
+
+    monkeypatch.setattr(link, "log_cdf", recording)
+    return shapes
+
+
+class TestBatchedLineSearch:
+    """``_armijo_step`` evaluates the halvings in blocks; it must return
+    what trying them one at a time returns, bit for bit."""
+
+    @staticmethod
+    def design(seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(6, 41)), int(rng.integers(1, 4))
+        x = rng.uniform(-2, 2, size=(n, d))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        xs = mle._standardize(x)[0]
+        return mle._with_intercept(xs), y, rng
+
+    def compare(self, xt, y, link, theta, f, direction, slope, opts):
+        got = mle._armijo_step(xt, y, link, theta, f, direction, slope, opts)
+        want = sequential_armijo(xt, y, link, theta, f, direction, slope, opts)
+        if want is None:
+            assert got is None
+            return None
+        assert got is not None
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+        return want[2]
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_matches_sequential_search(self, name):
+        link = get_link(name)
+        opts = FitOptions()
+        halvings = []
+        for seed in range(40):
+            xt, y, rng = self.design(seed)
+            p = random_interior_point(name, rng, xt.shape[1] - 1)
+            theta = np.concatenate([[p.alpha], p.beta])
+            f = mle._loglik(xt, y, link, theta)
+            # a random ascent direction, scaled so step 1 often overshoots
+            g = mle._derivatives(xt, y, link, theta)[0]
+            direction = (g + rng.normal(size=g.size)) * 10.0 ** rng.uniform(-1, 3)
+            slope = float(g @ direction)
+            if slope > 0:
+                halvings.append(self.compare(xt, y, link, theta, f, direction, slope, opts))
+            for point in newton_walk(xt, y, link, theta, opts, 15):
+                halvings.append(self.compare(xt, y, link, *point, opts))
+        assert any(k is not None and k >= 1 for k in halvings)
+
+    def test_uniform_iterates_at_their_kink(self):
+        # uniform fits end on the edge of the support, where step 1 leaves
+        # it and the accepted step comes after tens of halvings
+        link = get_link("uniform")
+        opts = FitOptions()
+        halvings = []
+        for seed in range(12):
+            ds = gen_overlapping(int(np.random.default_rng(seed).integers(10, 41)),
+                                 2 + seed % 2, seed)
+            xt = mle._with_intercept(mle._standardize(ds.x)[0])
+            theta = np.zeros(xt.shape[1])
+            theta[0] = link.inverse(ds.n1 / ds.n)
+            for point in newton_walk(xt, ds.y, link, theta, opts, 100):
+                halvings.append(self.compare(xt, ds.y, link, *point, opts))
+        assert max(k for k in halvings if k is not None) >= 20
+
+    @pytest.mark.parametrize("max_halvings", [1, 3])
+    def test_max_halvings_is_honoured(self, max_halvings):
+        link = get_link("uniform")
+        opts = FitOptions(max_halvings=max_halvings)
+        ds = gen_overlapping(30, 2, 4)
+        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        theta = np.array([0.5, 0.0, 0.0])
+        f = mle._loglik(xt, ds.y, link, theta)
+        g = mle._derivatives(xt, ds.y, link, theta)[0]
+        outcomes = []
+        # steps of the gradient whose first passing halving is 0, 1, ..., 11
+        for scale in 2.0 ** np.arange(-8, 7):
+            outcomes.append(self.compare(xt, ds.y, link, theta, f, scale * g,
+                                         scale * float(g @ g), opts))
+        assert None in outcomes
+        assert max(k for k in outcomes if k is not None) == max_halvings - 1
+
+    def test_suite_sized_search_is_one_link_call_after_step_one(self, monkeypatch):
+        link = get_link("uniform")
+        ds = gen_overlapping(40, 3, 5)
+        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        theta = np.array([0.5, 0.0, 0.0, 0.0])
+        f = mle._loglik(xt, ds.y, link, theta)
+        g = mle._derivatives(xt, ds.y, link, theta)[0]
+        direction = 1e6 * g  # step 1 and most halvings leave the support
+        shapes = record_shapes(monkeypatch, link)
+        k = self.compare(xt, ds.y, link, theta, f, direction, float(g @ direction), FitOptions())
+        assert k is not None and k >= 10
+        batched = [s for s in shapes if len(s) == 2]
+        assert batched[0] == (FitOptions().max_halvings - 1, 40)
+        assert len(shapes) == 1 + 1 + k + 1  # step 1, one block, then k + 1 steps of the reference
+
+    def test_large_n_never_exceeds_the_element_budget(self, monkeypatch):
+        # at n above the budget every block holds one candidate, so a
+        # backtracking fit on large data never evaluates n x 49 at once;
+        # labels from a steep logistic put the uniform optimum on the edge
+        # of the support, where step 1 keeps failing
+        link = get_link("uniform")
+        rng = np.random.default_rng(11)
+        n = mle._LINE_SEARCH_ELEMENTS + 904
+        x = rng.uniform(-2, 2, size=(n, 2))
+        y = (rng.random(n) < LOGIT.cdf(3.0 * x[:, 0])).astype(int)
+        ds = dataset_from_arrays(x, y)
+        shapes = record_shapes(monkeypatch, link)
+        fit(ds, link)
+        batched = [s for s in shapes if len(s) == 2]
+        assert batched, "no step-1 rejection was exercised"
+        assert all(s == (1, n) for s in batched)
+        assert all(math.prod(s) <= n for s in shapes)

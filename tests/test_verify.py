@@ -190,3 +190,15 @@ class TestSuites:
         summary = run_angle_suite(get_link("cloglog"), d=2, trials=15, seed=5)
         assert summary.failures == 0
         assert summary.passes > 0
+
+    def test_angle_and_sign_trials_solve_one_cone_program(self, monkeypatch):
+        # the generator's Overlap report goes to fit, which does not solve
+        # the program again
+        import binreg.mle
+
+        def solve_again(*a, **k):
+            raise AssertionError("cone program solved a second time")
+
+        monkeypatch.setattr(binreg.mle, "cone_overlap", solve_again)
+        assert run_angle_suite(LOGIT, d=3, trials=6, seed=2).trials == 6
+        assert run_sign_suite(LOGIT, trials=6, seed=2).trials == 6
