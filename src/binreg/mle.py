@@ -19,6 +19,12 @@ data), and the first passing step is taken. The candidates' linear
 predictors come from a stacked matrix-vector product that rounds exactly
 as the single-candidate one, so the search accepts the same step, bit for
 bit, as trying the halvings one at a time.
+
+The link is evaluated once per Newton iterate (Nocedal & Wright,
+*Numerical Optimization*, section 3.1): the evaluation that accepted a step,
+the linear predictor and per-row log likelihood terms of the new iterate,
+is carried to it and gives its log likelihood, score and Hessian, and those
+of the last iterate are what ``fit`` reports.
 """
 
 from __future__ import annotations
@@ -87,36 +93,61 @@ def _theta(p: Parameters) -> np.ndarray:
     return np.concatenate([[p.alpha], np.asarray(p.beta, dtype=float)])
 
 
-def _loglik(xt: np.ndarray, y: np.ndarray, link: LinkFamily, theta: np.ndarray) -> float:
+@dataclass(eq=False)
+class _Evaluation:
+    """The link evaluated once at ``theta``: the linear predictor
+    ``z = xt @ theta``, the per-row log likelihood terms (log G(z) for
+    successes, log(1 - G(z)) for failures) and their sum. The score and
+    Hessian are derived from the same ``z`` and terms when first asked for,
+    and kept."""
+
+    theta: np.ndarray
+    z: np.ndarray
+    terms: np.ndarray
+    loglik: float
+    _derivs: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False)
+
+    def derivatives(self, xt, y, link) -> Tuple[np.ndarray, np.ndarray]:
+        """Score and Hessian at ``theta``."""
+        if self._derivs is None:
+            w, dw = _weights(self, y, link)
+            self._derivs = xt.T @ w, xt.T @ (dw[:, None] * xt)
+        return self._derivs
+
+
+def _evaluate(xt, y, link: LinkFamily, theta: np.ndarray) -> _Evaluation:
     z = xt @ theta
     terms = np.where(y == 1, link.log_cdf(z), link.log_sf(z))
-    return float(np.sum(terms))
+    return _Evaluation(theta, z, terms, float(np.sum(terms)))
 
 
-def _weights(xt, y, link, theta):
-    """Per-observation score weight w_i and its z-derivative.
+def _loglik(xt: np.ndarray, y: np.ndarray, link: LinkFamily, theta: np.ndarray) -> float:
+    return _evaluate(xt, y, link, theta).loglik
 
-    w_i = g/G for successes and -g/(1-G) for failures, computed through log
-    forms so extreme linear predictors stay finite. Assumes every linear
-    predictor lies in the support interior (fit only evaluates these at
-    points of finite log likelihood).
+
+def _weights(point: _Evaluation, y, link):
+    """Per-observation score weight w_i and its z-derivative at ``point``.
+
+    w_i = g/G for successes and -g/(1-G) for failures. Both are
+    e = exp(log g(z) - term), the row's own log likelihood term standing
+    for log G or log(1 - G), so one exp serves both labels and extreme
+    linear predictors stay finite. Assumes every linear predictor lies in
+    the support interior (fit only evaluates these at points of finite log
+    likelihood).
     """
-    z = xt @ theta
+    z = point.z
     with np.errstate(invalid="ignore", over="ignore"):
-        log_pdf = link.log_pdf(z)
-        u = np.exp(log_pdf - link.log_cdf(z))
-        v = np.exp(log_pdf - link.log_sf(z))
+        e = np.exp(link.log_pdf(z) - point.terms)
         slope = link.pdf_log_slope(z)
         is1 = y == 1
-        w = np.where(is1, u, -v)
-        dw = np.where(is1, u * (slope - u), -v * (slope + v))
+        w = np.where(is1, e, -e)
+        dw = np.where(is1, e * (slope - e), -e * (slope + e))
     return w, dw
 
 
 def _derivatives(xt, y, link, theta) -> Tuple[np.ndarray, np.ndarray]:
     """Score and Hessian from one evaluation of the link."""
-    w, dw = _weights(xt, y, link, theta)
-    return xt.T @ w, xt.T @ (dw[:, None] * xt)
+    return _evaluate(xt, y, link, theta).derivatives(xt, y, link)
 
 
 def log_likelihood(ds: Dataset, link: LinkFamily, p: Parameters) -> float:
@@ -164,27 +195,30 @@ def _hessian_condition(H: np.ndarray) -> float:
 _LINE_SEARCH_ELEMENTS = 4096
 
 
-def _loglik_rows(xt, y, link, cands: np.ndarray) -> np.ndarray:
-    """``_loglik`` at each row of ``cands``, bit-identical to calling it row
-    by row. The stacked product runs one matrix-vector product per
+def _evaluate_rows(xt, y, link, cands: np.ndarray):
+    """``_evaluate`` at each row of ``cands``, bit-identical to calling it
+    row by row: returns the (k, n) linear predictors and terms and the k log
+    likelihoods. The stacked product runs one matrix-vector product per
     candidate, which rounds exactly as ``xt @ cand``; ``cands @ xt.T`` is one
     matrix-matrix product that sums in another order. A row sum of the
     C-contiguous term array takes the same pairwise summation as ``np.sum``
     of one row."""
     z = np.matmul(xt[None], cands[:, :, None])[:, :, 0]
     terms = np.where(y == 1, link.log_cdf(z), link.log_sf(z))
-    return terms.sum(axis=1)
+    return z, terms, terms.sum(axis=1)
 
 
 def _armijo_step(xt, y, link, theta, f, direction, slope, opts: FitOptions):
     """First step of 1, 1/2, ..., 2**(1 - max_halvings) along ``direction``
-    whose log likelihood is finite and passes the Armijo test. Returns
-    (candidate, its log likelihood), or None when no step passes.
+    whose log likelihood is finite and passes the Armijo test. Returns the
+    accepted candidate's ``_Evaluation``, or None when no step passes.
 
-    Step 1, accepted in most Newton iterations, is one ``_loglik`` call. The
-    halvings after it are evaluated in blocks of candidates, one link call
-    per block (``_LINE_SEARCH_ELEMENTS``), and the first passing step of a
-    block is taken, so the result is that of trying the steps one by one.
+    Step 1, accepted in most Newton iterations, is one ``_evaluate`` call.
+    The halvings after it are evaluated in blocks of candidates, one link
+    call per block (``_LINE_SEARCH_ELEMENTS``), and the first passing step
+    of a block is taken, so the result is that of trying the steps one by
+    one. Its record is that row of the block's ``z`` and terms, bit for bit
+    what a fresh evaluation at the candidate gives.
     """
     # near the optimum the true gain underflows below the float
     # resolution of the objective; the noise allowance lets the final
@@ -194,20 +228,19 @@ def _armijo_step(xt, y, link, theta, f, direction, slope, opts: FitOptions):
     def passes(values, steps):
         return np.isfinite(values) & (values >= f + opts.armijo * steps * slope - noise)
 
-    cand = theta + direction
-    f_cand = _loglik(xt, y, link, cand)
-    if passes(f_cand, 1.0):
-        return cand, f_cand
+    point = _evaluate(xt, y, link, theta + direction)
+    if passes(point.loglik, 1.0):
+        return point
     steps = np.ldexp(1.0, -np.arange(opts.max_halvings))
     block = max(1, _LINE_SEARCH_ELEMENTS // xt.shape[0])
     for start in range(1, opts.max_halvings, block):
         tried = steps[start:start + block]
         cands = theta + tried[:, None] * direction
-        values = _loglik_rows(xt, y, link, cands)
+        z, terms, values = _evaluate_rows(xt, y, link, cands)
         ok = passes(values, tried)
         if ok.any():
             first = int(np.argmax(ok))
-            return cands[first], float(values[first])
+            return _Evaluation(cands[first], z[first], terms[first], float(values[first]))
     return None
 
 
@@ -224,51 +257,57 @@ class _Trace:
 def _newton(xt, y, link, theta, opts: FitOptions, trace: _Trace,
             max_iter: Optional[int] = None, stop_on_score: bool = True):
     """Damped Newton with Armijo backtracking (see ``_armijo_step``).
-    Returns (theta, flag)."""
+    Returns (the last iterate's ``_Evaluation``, flag).
+
+    The link is evaluated once per iterate: the record that accepted a step
+    carries that iterate's log likelihood, and its score and Hessian come
+    from the same terms."""
     limit = opts.max_iter if max_iter is None else max_iter
-    f = _loglik(xt, y, link, theta)
+    point = _evaluate(xt, y, link, theta)
+    f = point.loglik
     for _ in range(limit):
-        g, H = _derivatives(xt, y, link, theta)
+        g, H = point.derivatives(xt, y, link)
         if stop_on_score and np.max(np.abs(g)) <= opts.tol:
-            return theta, "converged"
-        if np.linalg.norm(theta[1:]) > opts.diverge_bound:
-            return theta, "diverged"
+            return point, "converged"
+        if np.linalg.norm(point.theta[1:]) > opts.diverge_bound:
+            return point, "diverged"
         direction = _ascent_direction(H, g, opts.ridge)
         slope = float(g @ direction)
         if not np.isfinite(slope) or slope <= 0:
-            return theta, "stalled"
-        accepted = _armijo_step(xt, y, link, theta, f, direction, slope, opts)
+            return point, "stalled"
+        accepted = _armijo_step(xt, y, link, point.theta, f, direction, slope, opts)
         if accepted is None:
-            return theta, "stalled"
-        theta, f_cand = accepted
-        f = max(f, f_cand)
-        trace.accept(f_cand)
-    g, _ = _derivatives(xt, y, link, theta)
+            return point, "stalled"
+        point = accepted
+        f = max(f, point.loglik)
+        trace.accept(point.loglik)
+    g, _ = point.derivatives(xt, y, link)
     if stop_on_score and np.max(np.abs(g)) <= opts.tol:
-        return theta, "converged"
-    return theta, "maxiter"
+        return point, "converged"
+    return point, "maxiter"
 
 
-def _march_to_divergence(xt, y, link, theta, gamma, opts: FitOptions, trace: _Trace):
-    """Doubling steps along a separating direction until the slope norm
-    crosses the divergence bound. The log likelihood is nondecreasing along
-    gamma by construction (each term's argument moves toward its label's
-    favorable side); tiny float wobble is tolerated."""
-    f = _loglik(xt, y, link, theta)
+def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOptions,
+                         trace: _Trace) -> _Evaluation:
+    """Doubling steps along a separating direction from ``point`` until the
+    slope norm crosses the divergence bound; returns the last accepted
+    point. The log likelihood is nondecreasing along gamma by construction
+    (each term's argument moves toward its label's favorable side); tiny
+    float wobble is tolerated."""
+    f = point.loglik
     step = 1.0
-    while np.linalg.norm(theta[1:]) <= opts.diverge_bound:
-        cand = theta + step * gamma
-        f_cand = _loglik(xt, y, link, cand)
-        if f_cand >= f - 1e-9 * (1.0 + abs(f)):
-            theta = cand
-            f = max(f, f_cand)
-            trace.accept(f_cand)
+    while np.linalg.norm(point.theta[1:]) <= opts.diverge_bound:
+        cand = _evaluate(xt, y, link, point.theta + step * gamma)
+        if cand.loglik >= f - 1e-9 * (1.0 + abs(f)):
+            point = cand
+            f = max(f, cand.loglik)
+            trace.accept(cand.loglik)
             step *= 2.0
         else:  # float wobble guard; take smaller moves
             step *= 0.5
             if step < 1e-8:
                 break
-    return theta
+    return point
 
 
 def _standardize(x: np.ndarray):
@@ -360,7 +399,7 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     caveat = None
 
     if not rank_ok:
-        theta, _ = _newton(xt, y, link, theta0, opts, trace)
+        point, _ = _newton(xt, y, link, theta0, opts, trace)
         status = NOT_UNIQUE
         caveat = "design matrix is rank-deficient; maximizer is not unique"
     elif verdict == SEPARATED or verdict == DEGENERATE:
@@ -376,43 +415,41 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             # margin below t_min but no weakly separating direction: the
             # groups overlap by less than the cone tolerance; fall back to
             # plain Newton and report its natural outcome
-            theta, flag = _newton(xt, y, link, theta0, opts, trace)
+            point, flag = _newton(xt, y, link, theta0, opts, trace)
             status = {"converged": CONVERGED, "diverged": DIVERGED,
                       "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}[flag]
             caveat = "overlap margin below tolerance; treat the fit as fragile"
         else:
-            theta, flag = _newton(xt, y, link, theta0, opts, trace,
+            point, flag = _newton(xt, y, link, theta0, opts, trace,
                                   max_iter=min(opts.max_iter, 25))
             if flag != "diverged":
-                theta = _march_to_divergence(xt, y, link, theta, gamma, opts, trace)
+                point = _march_to_divergence(xt, y, link, point, gamma, opts, trace)
             status = DIVERGED
     elif link.claims_log_concave:
-        theta, flag = _newton(xt, y, link, theta0, opts, trace)
+        point, flag = _newton(xt, y, link, theta0, opts, trace)
         status = {"converged": CONVERGED, "diverged": DIVERGED,
                   "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}[flag]
     else:
         caveat = "link is not log-concave: best local optimum from multi-start"
         best = None
-        for point in _multistart_points(theta0, opts.starts):
+        for start in _multistart_points(theta0, opts.starts):
             sub_trace = _Trace()
-            theta_k, flag_k = _newton(xt, y, link, point, opts, sub_trace)
-            ll_k = _loglik(xt, y, link, theta_k)
-            key = (flag_k == "converged", ll_k)
+            point_k, flag_k = _newton(xt, y, link, start, opts, sub_trace)
+            key = (flag_k == "converged", point_k.loglik)
             if best is None or key > best[0]:
-                best = (key, theta_k, flag_k, sub_trace)
-        _, theta, flag, sub_trace = best
+                best = (key, point_k, flag_k, sub_trace)
+        _, point, flag, sub_trace = best
         trace = sub_trace
         status = {"converged": CONVERGED, "diverged": DIVERGED,
                   "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}[flag]
 
-    loglik = _loglik(xt, y, link, theta)
-    score_std, hess = _derivatives(xt, y, link, theta)
+    score_std, hess = point.derivatives(xt, y, link)
     score_norm = float(np.max(np.abs(score_std)))
     hess_cond = _hessian_condition(hess)
 
     return FitResult(
-        params=_to_raw(theta, center, spread),
-        loglik=loglik,
+        params=_to_raw(point.theta, center, spread),
+        loglik=point.loglik,
         score_norm=score_norm,
         iterations=trace.iterations,
         status=status,

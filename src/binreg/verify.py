@@ -324,7 +324,12 @@ def _summarize(theorem: str, link_name: str, d: int, outcomes) -> SuiteSummary:
 
 def run_sign_suite(link: LinkFamily, trials: int, seed: int,
                    n_range: Tuple[int, int] = (6, 40)) -> SuiteSummary:
-    """Sign match over random overlapping d=1 datasets."""
+    """Sign match over random overlapping d=1 datasets.
+
+    Trials whose fit did not finish (MaxIterations or NotUnique) are
+    skipped: the statement is about the maximizer, which such a fit has not
+    reached, so its slope is no counterexample.
+    """
 
     def one(t: int):
         s = _derived_seed(seed, t)
@@ -334,7 +339,7 @@ def run_sign_suite(link: LinkFamily, trials: int, seed: int,
         fr = fit(ds, link, overlap=report)
         gs = group_stats(ds)
         if fr.status not in (CONVERGED, DIVERGED):
-            return False, float("-inf"), f"trial {t}: unexpected status {fr.status}"
+            return None
         rep = check_sign(fr, gs)
         return rep.holds, rep.slack, f"trial {t}: {rep.details}"
 

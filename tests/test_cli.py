@@ -16,6 +16,12 @@ LIVELOCK = Path(__file__).parent / "data" / "separated_pivot_livelock.csv"
 # outputs on purpose regenerates this file and says so
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_trials40_seed7.json"
 
+# `binreg fit` with and without --force for every link on the tests/data
+# CSVs and one simulated overlapping set (``fit_golden_lines``), as written
+# before Newton carried the line search's link evaluation to the next
+# iterate; regenerated only by a change that moves fit outputs on purpose
+FIT_GOLDEN = Path(__file__).parent / "data" / "fit_golden.json"
+
 
 BALANCED = "x,y\n0,1\n1,0\n2,0\n3,1\n"
 SEPARATED = "x,y\n1,0\n2,0\n3,1\n4,1\n"
@@ -36,6 +42,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def fit_golden_lines(run, tmp_path):
+    """One JSON line per ``binreg fit`` case: the exit code and stdout.
+    ``run(*argv)`` returns (exit code, stdout)."""
+    simulated = tmp_path / "overlapping_n400_d3_seed3.csv"
+    assert run("simulate", "--kind", "overlapping", "--n", "400", "--d", "3",
+               "--seed", "3", "--out", str(simulated))[0] == 0
+    paths = sorted(Path(__file__).parent.joinpath("data").glob("*.csv")) + [simulated]
+    lines = []
+    for path in paths:
+        for link in ["logit", "probit", "cloglog", "cauchit", "uniform"]:
+            for force in [[], ["--force"]]:
+                code, out = run("fit", "--csv", str(path), "--link", link, *force)
+                case = " ".join([path.name, link, *force])
+                lines.append(json.dumps({"case": case, "code": code, "stdout": out}) + "\n")
+    return lines
 
 
 class TestFitCommand:
@@ -111,6 +134,11 @@ class TestFitCommand:
         assert code == 0
         assert json.loads(target.read_text()) == json.loads(out)
 
+    def test_output_bytes_match_the_committed_fits(self, capsys, tmp_path):
+        lines = fit_golden_lines(lambda *argv: run_cli(capsys, *argv)[:2], tmp_path)
+        assert lines == FIT_GOLDEN.read_text().splitlines(keepends=True)
+        assert "".join(lines).encode() == FIT_GOLDEN.read_bytes()
+
     def test_reproducible_output_bytes(self, capsys, csvs):
         _, first, _ = run_cli(capsys, "fit", "--csv", csvs["olap"])
         _, second, _ = run_cli(capsys, "fit", "--csv", csvs["olap"])
@@ -166,6 +194,16 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--trials", "40", "--seed", "7")
         assert code == 0
         assert out.encode() == VERIFY_GOLDEN.read_bytes()
+
+    def test_unfinished_uniform_sign_fits_are_skipped(self, capsys):
+        # four of these fits end MaxIterations; an unfinished fit has not
+        # reached the maximizer the sign statement is about
+        code, out, _ = run_cli(capsys, "verify", "--theorem", "sign", "--link", "uniform",
+                               "--trials", "60", "--seed", "5")
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert (result["passes"], result["skipped"], result["failures"]) == (56, 4, 0)
+        assert np.isfinite(result["worst_slack"])
 
     def test_reproducible(self, capsys):
         args = ("verify", "--theorem", "zero", "--link", "logit", "--trials", "8", "--seed", "5")

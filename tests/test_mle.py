@@ -474,6 +474,13 @@ def newton_walk(xt, y, link, theta, opts, iters):
         theta, f = found[0], max(f, found[1])
 
 
+def fresh_evaluation(xt, y, link, theta):
+    """z, per-row terms and log likelihood at theta, computed from scratch."""
+    z = xt @ theta
+    terms = np.where(y == 1, link.log_cdf(z), link.log_sf(z))
+    return z, terms, float(np.sum(terms))
+
+
 def bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
@@ -511,8 +518,14 @@ class TestBatchedLineSearch:
             assert got is None
             return None
         assert got is not None
-        assert bits(got[0]) == bits(want[0])
-        assert bits(got[1]) == bits(want[1])
+        assert bits(got.theta) == bits(want[0])
+        assert bits(got.loglik) == bits(want[1])
+        # the record carried to the next iterate is what a fresh evaluation
+        # there gives, whether step 1 or a row of a block accepted it
+        z, terms, loglik = fresh_evaluation(xt, y, link, got.theta)
+        assert bits(got.z) == bits(z)
+        assert bits(got.terms) == bits(terms)
+        assert bits(got.loglik) == bits(loglik)
         return want[2]
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -533,6 +546,7 @@ class TestBatchedLineSearch:
                 halvings.append(self.compare(xt, y, link, theta, f, direction, slope, opts))
             for point in newton_walk(xt, y, link, theta, opts, 15):
                 halvings.append(self.compare(xt, y, link, *point, opts))
+        assert 0 in halvings
         assert any(k is not None and k >= 1 for k in halvings)
 
     def test_uniform_iterates_at_their_kink(self):
@@ -581,7 +595,9 @@ class TestBatchedLineSearch:
         assert k is not None and k >= 10
         batched = [s for s in shapes if len(s) == 2]
         assert batched[0] == (FitOptions().max_halvings - 1, 40)
-        assert len(shapes) == 1 + 1 + k + 1  # step 1, one block, then k + 1 steps of the reference
+        # step 1, one block, the k + 1 steps of the reference, then the
+        # fresh evaluation that checks the returned record
+        assert len(shapes) == 1 + 1 + (k + 1) + 1
 
     def test_large_n_never_exceeds_the_element_budget(self, monkeypatch):
         # at n above the budget every block holds one candidate, so a
@@ -600,3 +616,97 @@ class TestBatchedLineSearch:
         assert batched, "no step-1 rejection was exercised"
         assert all(s == (1, n) for s in batched)
         assert all(math.prod(s) <= n for s in shapes)
+
+
+def two_exp_weights(z, y, link):
+    """The score weights as computed before they were derived from the
+    log likelihood terms: u = g/G and v = g/(1 - G), one exp each."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        log_pdf = link.log_pdf(z)
+        u = np.exp(log_pdf - link.log_cdf(z))
+        v = np.exp(log_pdf - link.log_sf(z))
+        slope = link.pdf_log_slope(z)
+        is1 = y == 1
+        w = np.where(is1, u, -v)
+        dw = np.where(is1, u * (slope - u), -v * (slope + v))
+    return w, dw
+
+
+class TestCarriedEvaluation:
+    """Newton evaluates the link once per iterate: the score, the Hessian
+    and the reported fit come from the record that accepted the step."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_one_exp_weights_match_the_two_exp_formula(self, name):
+        link = get_link(name)
+        rng = np.random.default_rng(5)
+        # far tails, where one of u and v is 0 or inf, then the bulk
+        tails = np.array([-45.0, -40.0, -39.5, -38.0, 38.0, 39.5, 40.0, 45.0])
+        z = np.concatenate([np.repeat(tails, 2), rng.normal(scale=3.0, size=200),
+                            rng.uniform(-0.5, 1.5, size=200)])
+        y = np.tile([0, 1], z.size // 2)
+        point = mle._evaluate(z[:, None], y, link, np.array([1.0]))
+        got = mle._weights(point, y, link)
+        want = two_exp_weights(z, y, link)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+
+    @staticmethod
+    def cases():
+        x = np.random.default_rng(2).normal(size=(30, 1))
+        yield "logit", gen_overlapping(40, 2, 1)
+        yield "probit", gen_overlapping(33, 3, 2)
+        yield "cloglog", gen_overlapping(25, 1, 3)
+        yield "cauchit", gen_overlapping(36, 2, 4)     # multi-start
+        yield "uniform", gen_overlapping(40, 3, 5)     # kink optimum
+        yield "logit", gen_separated(30, 2, 6)         # march to divergence
+        yield "uniform", gen_separated(24, 1, 7)
+        yield "probit", make_ds(np.hstack([x, 2.0 * x]),  # rank-deficient
+                                (x[:, 0] + np.arange(30) % 3 > 1).astype(int))
+
+    def test_fit_reports_a_fresh_evaluation_at_its_iterate(self, monkeypatch):
+        returned = []
+        to_raw = mle._to_raw
+
+        def capture(theta_std, center, spread):
+            returned.append(theta_std)
+            return to_raw(theta_std, center, spread)
+
+        monkeypatch.setattr(mle, "_to_raw", capture)
+        statuses = set()
+        for name, ds in self.cases():
+            link = get_link(name)
+            fr = fit(ds, link)
+            statuses.add(fr.status)
+            xt = mle._with_intercept(mle._standardize(ds.x)[0])
+            z, terms, loglik = fresh_evaluation(xt, ds.y, link, returned[-1])
+            w, dw = two_exp_weights(z, ds.y, link)
+            g, H = xt.T @ w, xt.T @ (dw[:, None] * xt)
+            assert bits(fr.loglik) == bits(loglik)
+            assert bits(fr.score_norm) == bits(np.max(np.abs(g)))
+            assert bits(fr.hessian_condition) == bits(mle._hessian_condition(H))
+        assert statuses == {CONVERGED, DIVERGED, NOT_UNIQUE}
+
+    def test_link_is_evaluated_once_per_iterate(self, monkeypatch):
+        # probit, because logit's log_pdf calls its log_cdf; on this large
+        # overlapping set step 1 is accepted in every Newton iteration, so
+        # each iterate costs one log_cdf (its log likelihood) and one
+        # log_pdf (its score and Hessian), plus the starting point's
+        link = get_link("probit")
+        rng = np.random.default_rng(8)
+        n = 20_000
+        x = rng.normal(size=(n, 3))
+        y = (rng.random(n) < link.cdf(0.3 + x @ np.array([0.8, -0.5, 0.2]))).astype(int)
+        ds = dataset_from_arrays(x, y)
+        calls = {"log_cdf": 0, "log_pdf": 0}
+        for method in calls:
+            original = getattr(link, method)
+
+            def counting(z, method=method, original=original):
+                calls[method] += 1
+                return original(z)
+
+            monkeypatch.setattr(link, method, counting)
+        fr = fit(ds, link)
+        assert fr.status == CONVERGED and fr.iterations >= 4
+        assert calls == {"log_cdf": fr.iterations + 1, "log_pdf": fr.iterations + 1}
