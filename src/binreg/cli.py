@@ -18,7 +18,6 @@ from .core import BinregError, read_csv
 from .links import LINKS, get_link
 from .mle import FitOptions, fit
 from .overlap import SEPARATED, cone_overlap, scalar_overlap
-from .simplex import LPNumericalFailure
 from .verify import (gen_balanced, gen_gaussian, gen_overlapping, gen_separated,
                      run_angle_suite, run_sign_suite, run_zero_suite)
 from .core import extended_design
@@ -66,17 +65,9 @@ def _emit(payload: dict, plain: bool, json_out: Optional[str]) -> None:
 
 
 def _overlap_report(ds, method: str):
-    if method == "scalar":
-        return scalar_overlap(ds)
-    dm = extended_design(ds)
-    if method == "cone":
-        return cone_overlap(dm, ds.y)
-    try:
-        return cone_overlap(dm, ds.y)
-    except LPNumericalFailure:
-        if ds.d == 1:
-            return scalar_overlap(ds)
-        raise
+    # "auto" and "cone" are one decision: cone_overlap answers d = 1 itself
+    # when its program fails
+    return scalar_overlap(ds) if method == "scalar" else cone_overlap(extended_design(ds), ds.y)
 
 
 def _report_dict(report) -> dict:

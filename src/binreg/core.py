@@ -181,6 +181,18 @@ def _with_intercept(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
+def _standardize(x: np.ndarray):
+    """(x - center) / spread column by column, spread the max-abs deviation."""
+    center = x.mean(axis=0)
+    xs = x - center
+    # column by column: numpy's max over axis 0 of a tall, narrow array is
+    # several times slower than d passes over its columns
+    spread = np.array([np.abs(col).max() for col in xs.T])
+    spread[spread == 0.0] = 1.0
+    xs /= spread
+    return xs, center, spread
+
+
 def _numerical_rank(xt: np.ndarray, rank_tolerance: float) -> int:
     """Count singular values above rank_tolerance times the largest."""
     sv = np.linalg.svd(xt, compute_uv=False)

@@ -3,12 +3,13 @@ log likelihood, with principled divergence detection.
 
 A small score norm alone cannot distinguish an interior maximum from a fit
 drifting to infinity under separation (the gradient decays exponentially
-along a separating direction), so ``fit`` first settles existence with the
-cone feasibility program. When the groups overlap, Newton converges to the
-unique maximizer; when they are separated, the fit follows a certified
-separating direction with doubling steps, along which the log likelihood
-is provably nondecreasing, until the slope norm crosses the divergence
-bound, and reports Diverged with the last iterate.
+along a separating direction), so ``fit`` first settles existence with
+``overlap.cone_overlap``, the decision every caller makes. When the groups
+overlap, Newton converges to the unique maximizer; when they are
+separated, the fit follows the report's separating direction with doubling
+steps, along which the log likelihood is provably nondecreasing, until the
+slope norm crosses the divergence bound, and reports Diverged with the
+last iterate.
 
 Each Newton step is damped by Armijo backtracking over the steps 1, 1/2,
 ..., 2**(1 - max_halvings). Step 1 is one log likelihood evaluation; when
@@ -35,16 +36,22 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BinregError, Dataset, _numerical_rank, _with_intercept
+from .core import BinregError, Dataset, _numerical_rank, _standardize, _with_intercept
 from .links import LinkFamily
-from .overlap import (DEGENERATE, SEPARATED, OverlapReport, cone_overlap,
-                      scalar_overlap, separating_direction)
+# separating_direction is not called here; the benchmark's traced run
+# (perfbench/spans.py) wraps binreg.mle.separating_direction by name
+from .overlap import SEPARATED, OverlapReport, cone_overlap, separating_direction  # noqa: F401
 from .simplex import LPNumericalFailure
 
 CONVERGED = "Converged"
 DIVERGED = "Diverged"
 MAX_ITERATIONS = "MaxIterations"
 NOT_UNIQUE = "NotUnique"
+
+
+# Newton's stop flag -> the status a fit reports
+_STATUS = {"converged": CONVERGED, "diverged": DIVERGED,
+           "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}
 
 
 class ConfigError(BinregError):
@@ -310,13 +317,6 @@ def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOption
     return point
 
 
-def _standardize(x: np.ndarray):
-    center = x.mean(axis=0)
-    spread = np.max(np.abs(x - center), axis=0)
-    spread[spread == 0.0] = 1.0
-    return (x - center) / spread, center, spread
-
-
 def _to_raw(theta_std: np.ndarray, center: np.ndarray, spread: np.ndarray) -> Parameters:
     beta = theta_std[1:] / spread
     alpha = float(theta_std[0] - center @ beta)
@@ -352,10 +352,10 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
 
     ``overlap`` is a report the caller already holds for ``ds`` (from
     ``scalar_overlap``, or ``cone_overlap`` on ``extended_design(ds)``); its
-    verdict is used instead of solving the cone program again, and on
-    separated data so is its separating direction, if it carries one.
-    Without a report, fit solves the cone program once and takes both the
-    verdict and the direction from it.
+    verdict is used instead of solving the cone program again. Without one,
+    fit makes that same ``cone_overlap`` call. On separated data it follows
+    the report's direction, or runs plain Newton with a caveat when the
+    report has none (cone margin positive but below tolerance).
 
     Status values: Converged (score within tolerance at an interior
     maximum), Diverged (groups separated; slope escaped the bound with the
@@ -380,19 +380,15 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     theta0[0] = link.inverse(p_hat)
 
     report = overlap
-    own_cone = False  # report solved here, so its direction is in xt's coordinates
     lp_caveat = None
     if rank_ok and report is None:
         try:
-            report = cone_overlap(xt, y)
-            own_cone = True
+            report = cone_overlap(_with_intercept(ds.x), y)
         except LPNumericalFailure as exc:
-            if ds.d == 1:
-                report = scalar_overlap(ds)
-            else:
-                # proceed as if overlapping, and say so; Newton's own
-                # divergence bound remains as a backstop
-                lp_caveat = f"cone program failed: {exc}; existence not certified"
+            # d > 1 (at d = 1 cone_overlap falls back to the interval test):
+            # proceed as if overlapping, and say so; Newton's own divergence
+            # bound remains as a backstop
+            lp_caveat = f"cone program failed: {exc}; existence not certified"
     verdict = None if report is None else report.verdict
 
     trace = _Trace()
@@ -402,24 +398,16 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
         point, _ = _newton(xt, y, link, theta0, opts, trace)
         status = NOT_UNIQUE
         caveat = "design matrix is rank-deficient; maximizer is not unique"
-    elif verdict == SEPARATED or verdict == DEGENERATE:
-        if own_cone:
-            # None here means t* > 0, which separating_direction on the
-            # same program would only confirm
-            gamma = report.direction
-        elif report.direction is not None:
-            gamma = _to_standardized(report.direction, center, spread)
-        else:
-            gamma = separating_direction(xt, y)
-        if gamma is None:
-            # margin below t_min but no weakly separating direction: the
+    elif verdict == SEPARATED:
+        if report.direction is None:
+            # margin below T_MIN but no weakly separating direction: the
             # groups overlap by less than the cone tolerance; fall back to
             # plain Newton and report its natural outcome
             point, flag = _newton(xt, y, link, theta0, opts, trace)
-            status = {"converged": CONVERGED, "diverged": DIVERGED,
-                      "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}[flag]
+            status = _STATUS[flag]
             caveat = "overlap margin below tolerance; treat the fit as fragile"
         else:
+            gamma = _to_standardized(report.direction, center, spread)
             point, flag = _newton(xt, y, link, theta0, opts, trace,
                                   max_iter=min(opts.max_iter, 25))
             if flag != "diverged":
@@ -427,8 +415,7 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             status = DIVERGED
     elif link.claims_log_concave:
         point, flag = _newton(xt, y, link, theta0, opts, trace)
-        status = {"converged": CONVERGED, "diverged": DIVERGED,
-                  "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}[flag]
+        status = _STATUS[flag]
     else:
         caveat = "link is not log-concave: best local optimum from multi-start"
         best = None
@@ -440,8 +427,7 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
                 best = (key, point_k, flag_k, sub_trace)
         _, point, flag, sub_trace = best
         trace = sub_trace
-        status = {"converged": CONVERGED, "diverged": DIVERGED,
-                  "maxiter": MAX_ITERATIONS, "stalled": MAX_ITERATIONS}[flag]
+        status = _STATUS[flag]
 
     score_std, hess = point.derivatives(xt, y, link)
     score_norm = float(np.max(np.abs(score_std)))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -100,7 +100,6 @@ def check_angle(fr: FitResult, gs, zero_tol: float = ZERO_TOL) -> TheoremReport:
 
 
 def check_zero_iff(ds: Dataset, link: LinkFamily,
-                   fit_fn: Optional[Callable[[Dataset, LinkFamily], FitResult]] = None,
                    zero_tol: float = ZERO_TOL,
                    fit_zero_tol: float = FIT_ZERO_TOL,
                    alpha_tol: float = ALPHA_TOL) -> TheoremReport:
@@ -110,9 +109,8 @@ def check_zero_iff(ds: Dataset, link: LinkFamily,
     G^{-1}(n1/n); conversely a near-zero fitted slope must come with equal
     group means.
     """
-    fitter = fit_fn or (lambda d, l: fit(d, l))
     gs = group_stats(ds)
-    fr = fitter(ds, link)
+    fr = fit(ds, link)
     delta_norm = float(np.linalg.norm(gs.delta))
     beta_norm = float(np.linalg.norm(fr.params.beta))
 
@@ -295,11 +293,6 @@ class SuiteSummary:
     failure_details: Tuple[str, ...] = ()
 
 
-def _map_trials(fn: Callable[[int], object], count: int) -> List[object]:
-    """Run trials 0..count-1 in order."""
-    return [fn(i) for i in range(count)]
-
-
 def _summarize(theorem: str, link_name: str, d: int, outcomes) -> SuiteSummary:
     passes = failures = skipped = 0
     worst = math.inf
@@ -343,7 +336,7 @@ def run_sign_suite(link: LinkFamily, trials: int, seed: int,
         rep = check_sign(fr, gs)
         return rep.holds, rep.slack, f"trial {t}: {rep.details}"
 
-    return _summarize(SIGN_MATCH, link.name, 1, _map_trials(one, trials))
+    return _summarize(SIGN_MATCH, link.name, 1, [one(t) for t in range(trials)])
 
 
 def run_zero_suite(link: LinkFamily, trials: int, seed: int,
@@ -360,7 +353,7 @@ def run_zero_suite(link: LinkFamily, trials: int, seed: int,
         rep = check_zero_iff(ds, link)
         return rep.holds, -rep.slack, f"trial {t}: {rep.details}"
 
-    return _summarize(ZERO_IFF_EQUAL_MEANS, link.name, 0, _map_trials(one, trials))
+    return _summarize(ZERO_IFF_EQUAL_MEANS, link.name, 0, [one(t) for t in range(trials)])
 
 
 def run_angle_suite(link: LinkFamily, d: int, trials: int, seed: int,
@@ -384,4 +377,4 @@ def run_angle_suite(link: LinkFamily, d: int, trials: int, seed: int,
         rep = check_angle(fr, gs)
         return rep.holds, rep.slack, f"trial {t}: {rep.details}"
 
-    return _summarize(ACUTE_ANGLE, link.name, d, _map_trials(one, trials))
+    return _summarize(ACUTE_ANGLE, link.name, d, [one(t) for t in range(trials)])

@@ -66,7 +66,7 @@ def test_criterion_2_zero_equivalence():
             forward = (fr.status == CONVERGED
                        and float(np.linalg.norm(fr.params.beta)) <= 1e-6
                        and abs(fr.params.alpha - alpha_target) <= 1e-8)
-            converse = check_zero_iff(ds, link, fit_fn=lambda a, b: fr).holds
+            converse = check_zero_iff(ds, link).holds
             good += 1 if (forward and converse) else 0
         parts.append(f"{name} {good}/{ZERO_TRIALS}")
         ok &= good == ZERO_TRIALS

@@ -7,20 +7,30 @@ import pytest
 from binreg import read_csv
 from binreg.cli import main
 
+DATA = Path(__file__).parent / "data"
+
 # set 1900 of a seeded stream of strictly separated n=100, d=3 sets, on
 # which the cone simplex once repeated a no-op pivot until its budget ran out
-LIVELOCK = Path(__file__).parent / "data" / "separated_pivot_livelock.csv"
+LIVELOCK = DATA / "separated_pivot_livelock.csv"
+
+# gen_separated(33, 1, 1011) and gen_overlapping(40, 2, 0), each with
+# x -> 0.01 x + 1e5: a cone program posed on the raw design called the
+# first Overlap and reported the second unbounded
+OFFSET_SEPARATED = DATA / "offset_separated_d1.csv"
+OFFSET_OVERLAPPING = DATA / "offset_overlapping_d2.csv"
 
 # `binreg verify --trials 40 --seed 7` as written before the Newton line
 # search evaluated its halvings in batches; a change that moves verify
 # outputs on purpose regenerates this file and says so
-VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_trials40_seed7.json"
+VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 
-# `binreg fit` with and without --force for every link on the tests/data
+# `binreg fit` with and without --force for every link on three tests/data
 # CSVs and one simulated overlapping set (``fit_golden_lines``), as written
-# before Newton carried the line search's link evaluation to the next
-# iterate; regenerated only by a change that moves fit outputs on purpose
-FIT_GOLDEN = Path(__file__).parent / "data" / "fit_golden.json"
+# once the cone program was posed on the standardized design; regenerated
+# only by a change that moves fit outputs on purpose
+FIT_GOLDEN = DATA / "fit_golden.json"
+GOLDEN_CSVS = ("quasi_separated_tie.csv", "quasi_separated_tie_pivots.csv",
+               "separated_pivot_livelock.csv")
 
 
 BALANCED = "x,y\n0,1\n1,0\n2,0\n3,1\n"
@@ -50,7 +60,7 @@ def fit_golden_lines(run, tmp_path):
     simulated = tmp_path / "overlapping_n400_d3_seed3.csv"
     assert run("simulate", "--kind", "overlapping", "--n", "400", "--d", "3",
                "--seed", "3", "--out", str(simulated))[0] == 0
-    paths = sorted(Path(__file__).parent.joinpath("data").glob("*.csv")) + [simulated]
+    paths = [DATA / name for name in GOLDEN_CSVS] + [simulated]
     lines = []
     for path in paths:
         for link in ["logit", "probit", "cloglog", "cauchit", "uniform"]:
@@ -128,6 +138,25 @@ class TestFitCommand:
         assert z[ds.y == 1].min() >= -tol
         assert z[ds.y == 0].max() <= tol
 
+    def test_forced_fit_on_offset_separated_set_diverges(self, capsys):
+        code, out, _ = run_cli(capsys, "fit", "--csv", str(OFFSET_SEPARATED), "--force")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["overlap"]["verdict"] == "Separated"
+        assert payload["status"] == "Diverged"
+
+    def test_offset_overlapping_set_converges_to_the_rescaled_fit(self, capsys):
+        from binreg import fit, gen_overlapping, get_link
+        code, out, _ = run_cli(capsys, "fit", "--csv", str(OFFSET_OVERLAPPING))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["overlap"]["verdict"] == "Overlap"
+        assert payload["status"] == "Converged"
+        # x -> 0.01 x + 1e5 scales the slope by 100
+        unshifted = fit(gen_overlapping(40, 2, 0), get_link("logit"))
+        assert unshifted.status == "Converged"
+        np.testing.assert_allclose(payload["beta"], 100.0 * unshifted.params.beta, rtol=1e-8)
+
     def test_json_out_file(self, capsys, csvs, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run_cli(capsys, "fit", "--csv", csvs["olap"], "--json-out", str(target))
@@ -157,6 +186,13 @@ class TestOverlapCommand:
         code, out, _ = run_cli(capsys, "overlap", "--csv", str(LIVELOCK))
         assert code == 2
         assert json.loads(out)["verdict"] == "Separated"
+
+    def test_offset_separated_set_is_separated(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "--csv", str(OFFSET_SEPARATED))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["verdict"] == "Separated"
+        assert payload["margin"] == 0.0
 
     def test_overlap_scalar_method(self, capsys, csvs):
         code, out, _ = run_cli(capsys, "overlap", "--csv", csvs["olap"], "--method", "scalar")

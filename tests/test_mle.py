@@ -10,7 +10,7 @@ from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, ConfigError, FitOptions,
                     Parameters, build_dataset, cone_overlap, dataset_from_arrays,
                     extended_design, fit, gen_overlapping, gen_separated, get_link, grid_mle,
                     group_stats, hessian, log_likelihood, read_csv, scalar_overlap,
-                    score, separating_direction)
+                    score)
 
 DATA = Path(__file__).parent / "data"
 
@@ -289,7 +289,6 @@ class TestFit:
             direction = None
 
         monkeypatch.setattr(mle_mod, "cone_overlap", lambda *a, **k: FakeReport())
-        monkeypatch.setattr(mle_mod, "separating_direction", lambda *a, **k: None)
         fr = fit(ds, LOGIT)
         assert fr.status == CONVERGED
         assert "fragile" in fr.caveat
@@ -319,13 +318,13 @@ class TestFit:
             assert fr.caveat == named + "; " + base.caveat
 
     def test_cone_program_failure_at_d1_uses_the_scalar_verdict(self, monkeypatch):
-        import binreg.mle as mle_mod
+        import binreg.overlap
         from binreg import LPNumericalFailure
 
         def fail(*a, **k):
             raise LPNumericalFailure("simplex exceeded 9 pivots")
 
-        monkeypatch.setattr(mle_mod, "cone_overlap", fail)
+        monkeypatch.setattr(binreg.overlap, "solve_lp", fail)
         fr = fit(make_ds([1, 2, 3, 4], [0, 0, 1, 1]), LOGIT)
         assert fr.status == DIVERGED
         assert fr.caveat is None
@@ -362,15 +361,15 @@ class TestFit:
     def test_direction_of_given_report_is_reused(self, name, monkeypatch):
         # the report's direction is in raw coordinates; fit maps it into
         # its standardized ones instead of solving the cone program again
-        import binreg.mle as mle_mod
+        import binreg.overlap
         ds = read_csv(DATA / f"{name}.csv")
         report = cone_overlap(extended_design(ds), ds.y)
         assert report.direction is not None
 
         def solve_again(*a, **k):
-            raise AssertionError("separating direction solved a second time")
+            raise AssertionError("cone program solved a second time")
 
-        monkeypatch.setattr(mle_mod, "separating_direction", solve_again)
+        monkeypatch.setattr(binreg.overlap, "solve_lp", solve_again)
         fr = fit(ds, LOGIT, overlap=report)
         assert fr.status == DIVERGED
         assert fr.caveat is None
@@ -379,24 +378,32 @@ class TestFit:
         assert z[ds.y == 1].min() >= -tol
         assert z[ds.y == 0].max() <= tol
 
-    def test_scalar_report_direction_is_solved_for(self, monkeypatch):
-        import binreg.mle as mle_mod
+    def test_scalar_report_carries_its_direction(self, monkeypatch):
+        # the interval test's threshold is the separating direction; no
+        # cone program is solved for it
+        import binreg.overlap
         ds = make_ds([1, 2, 3, 4], [0, 0, 1, 1])
         report = scalar_overlap(ds)
-        assert report.verdict == "Separated" and report.direction is None
-        calls = []
+        assert report.verdict == "Separated" and report.direction is not None
 
-        def counted(*a, **k):
-            calls.append(1)
-            return separating_direction(*a, **k)
+        def fail(*a, **k):
+            raise AssertionError("cone program solved for a scalar report")
 
-        monkeypatch.setattr(mle_mod, "separating_direction", counted)
-        assert fit(ds, LOGIT, overlap=report).status == DIVERGED
-        assert len(calls) == 1
+        monkeypatch.setattr(binreg.overlap, "solve_lp", fail)
+        fr = fit(ds, LOGIT, overlap=report)
+        assert fr.status == DIVERGED
+        assert fr.params.beta[0] > 0.0
+
+    def test_callers_degenerate_report_gives_not_unique(self):
+        ds = make_ds([7, 7, 7, 7], [0, 1, 0, 1])
+        report = scalar_overlap(ds)
+        assert report.verdict == "DegenerateAllEqual"
+        fr = fit(ds, LOGIT, overlap=report)
+        assert fr.status == NOT_UNIQUE
+        assert "rank-deficient" in fr.caveat
 
     def test_separated_fit_without_report_solves_one_program(self, monkeypatch):
-        # fit's own cone report already carries the direction in its
-        # standardized coordinates
+        # fit's own cone report already carries the direction
         import binreg.overlap
         solve_lp = binreg.overlap.solve_lp
         calls = []

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import binreg.overlap
 from binreg import (DEGENERATE, OVERLAP, SEPARATED, DimensionError,
-                    build_dataset, cone_overlap, dataset_from_arrays,
-                    extended_design, gen_separated, scalar_overlap,
+                    LPNumericalFailure, ScalarBounds, build_dataset,
+                    cone_overlap, dataset_from_arrays, extended_design,
+                    gen_overlapping, gen_separated, scalar_overlap,
                     separating_direction)
+from binreg.overlap import METHOD_CONE, METHOD_SCALAR, _interval_report
 
 
 def make_ds(x, y):
@@ -89,6 +93,45 @@ class TestScalar:
         with pytest.raises(DimensionError):
             scalar_overlap(ds)
 
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            ([1, 2, 3, 4], [0, 0, 1, 1]),
+            ([3, 4, 1, 2], [0, 0, 1, 1]),
+            ([2, 2, 2, 5], [0, 1, 1, 1]),
+            ([1, 3, 3, 3], [1, 1, 0, 0]),
+        ],
+    )
+    def test_separated_report_carries_a_separating_direction(self, x, y):
+        ds = make_ds(x, y)
+        rep = scalar_overlap(ds)
+        proj = extended_design(ds).xt @ rep.direction
+        assert np.all(proj[ds.y == 1] >= 0.0) and np.all(proj[ds.y == 0] <= 0.0)
+        assert np.sign(rep.direction[1]) == rep.direction_hint
+
+    def test_overlap_and_degenerate_reports_carry_no_direction(self):
+        assert scalar_overlap(make_ds([1, 3, 2, 4], [0, 0, 1, 1])).direction is None
+        assert scalar_overlap(make_ds([7, 7, 7], [0, 1, 0])).direction is None
+
+
+class TestIntervalReport:
+    def test_strict_separation_thresholds_at_the_midpoint(self):
+        rep = _interval_report(ScalarBounds(L0=1.0, U0=2.0, L1=3.0, U1=4.0))
+        assert rep.verdict == SEPARATED and rep.method == METHOD_SCALAR
+        assert rep.direction_hint == 1
+        assert list(rep.direction) == [-2.5, 1.0]
+
+    def test_tie_thresholds_at_the_tied_value(self):
+        tie = 0.1 + 0.2
+        rep = _interval_report(ScalarBounds(L0=-1.0, U0=tie, L1=tie, U1=5.0))
+        assert rep.verdict == SEPARATED
+        assert list(rep.direction) == [-tie, 1.0]
+
+    def test_group_one_below_gives_a_negative_slope(self):
+        rep = _interval_report(ScalarBounds(L0=3.0, U0=4.0, L1=1.0, U1=2.0))
+        assert rep.direction_hint == -1
+        assert list(rep.direction) == [2.5, -1.0]
+
 
 def brute_force_common_cone_point(ds, grid=np.linspace(0.1, 1.0, 10)):
     """Search small weight grids for a common point of the two open cones.
@@ -136,6 +179,72 @@ class TestCone:
     def test_all_equal_rows_degenerate(self):
         ds = make_ds([4, 4, 4, 4], [0, 1, 0, 1])
         assert cone_of(ds).verdict == DEGENERATE
+        assert separating_direction(extended_design(ds), ds.y) is None
+
+    @staticmethod
+    def perturb_optimum(monkeypatch):
+        # the first weight moved by 0.01: the optimum still reads t* > 0,
+        # but the two combinations no longer meet
+        solve_lp = binreg.overlap.solve_lp
+
+        def perturbed(*a, **k):
+            result = solve_lp(*a, **k)
+            x = result.x.copy()
+            x[0] += 0.01
+            return dataclasses.replace(result, x=x)
+
+        monkeypatch.setattr(binreg.overlap, "solve_lp", perturbed)
+
+    def test_overlap_needs_a_certificate_within_tolerance(self, monkeypatch):
+        ds = build_dataset([((0, 0), 0), ((1, 1), 0), ((1, 0), 1), ((0, 1), 1)])
+        assert cone_of(ds).verdict == OVERLAP
+        self.perturb_optimum(monkeypatch)
+        with pytest.raises(LPNumericalFailure, match="residual"):
+            cone_of(ds)
+
+    def test_uncertified_overlap_at_d1_gives_the_interval_report(self, monkeypatch):
+        ds = make_ds([1, 3, 2, 4], [0, 0, 1, 1])
+        self.perturb_optimum(monkeypatch)
+        rep = cone_of(ds)
+        assert rep.verdict == OVERLAP and rep.method == METHOD_SCALAR
+        assert rep.certificate is None
+
+    @pytest.mark.parametrize("x,y,verdict", [
+        ([1, 3, 2, 4], [0, 0, 1, 1], OVERLAP),
+        ([1, 2, 3, 4], [0, 0, 1, 1], SEPARATED),
+    ])
+    def test_failed_program_at_d1_gives_the_interval_report(self, monkeypatch, x, y, verdict):
+        def fail(*a, **k):
+            raise LPNumericalFailure("simplex exceeded 9 pivots")
+
+        monkeypatch.setattr(binreg.overlap, "solve_lp", fail)
+        ds = make_ds(x, y)
+        rep = cone_of(ds)
+        assert rep.verdict == verdict and rep.method == METHOD_SCALAR
+        assert (rep.direction is None) == (verdict == OVERLAP)
+
+    def test_failed_program_at_d2_raises(self, monkeypatch):
+        def fail(*a, **k):
+            raise LPNumericalFailure("simplex exceeded 9 pivots")
+
+        monkeypatch.setattr(binreg.overlap, "solve_lp", fail)
+        with pytest.raises(LPNumericalFailure):
+            cone_of(build_dataset([((0, 0), 0), ((1, 1), 0), ((1, 0), 1), ((0, 1), 1)]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_verdict_invariant_under_large_offsets(self, d):
+        """x -> 0.01 x + offset keeps the verdict: the program is posed on
+        the standardized design, where the offset is gone."""
+        for seed in range(6):
+            for gen in (gen_overlapping, gen_separated):
+                ds = gen(8 + 7 * seed, d, 100 + seed)
+                base = cone_of(ds)
+                for offset in (1e3, 1e5, 1e7):
+                    shifted = cone_of(make_ds(0.01 * ds.x + offset, ds.y))
+                    assert shifted.verdict == base.verdict
+                    assert shifted.method == METHOD_CONE
+                    if shifted.certificate is not None:
+                        assert shifted.certificate.residual <= 1e-8
 
     @given(
         seed=st.integers(0, 10_000),
