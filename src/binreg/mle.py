@@ -26,6 +26,16 @@ The link is evaluated once per Newton iterate (Nocedal & Wright,
 the linear predictor and per-row log likelihood terms of the new iterate,
 is carried to it and gives its log likelihood, score and Hessian, and those
 of the last iterate are what ``fit`` reports.
+
+A link whose support has a finite endpoint (the uniform CDF) gives each row
+a kink where its G or 1 - G reaches 1: log G(z) = min(log z, 0). Maxima
+often sit on such kinks, where the score never vanishes and Newton's
+quadratic model stalls. On overlapping data such a fit hands over after
+``_KINK_AFTER`` unfinished Newton iterations to an active-set ascent
+(``_kink_ascent``), which holds rows on their edge and certifies a
+maximizer by the supergradient test (``_kink_certificate``). When it
+certifies nothing, Newton resumes where it stopped and the fit ends as it
+would have without the ascent.
 """
 
 from __future__ import annotations
@@ -38,9 +48,10 @@ import numpy as np
 
 from .core import BinregError, Dataset, _numerical_rank, _standardize, _with_intercept
 from .links import LinkFamily
+from .overlap import OVERLAP, SEPARATED, OverlapReport, cone_overlap
 # separating_direction is not called here; the benchmark's traced run
 # (perfbench/spans.py) wraps binreg.mle.separating_direction by name
-from .overlap import SEPARATED, OverlapReport, cone_overlap, separating_direction  # noqa: F401
+from .overlap import separating_direction  # noqa: F401
 from .simplex import LPNumericalFailure
 
 CONVERGED = "Converged"
@@ -262,36 +273,193 @@ class _Trace:
 
 
 def _newton(xt, y, link, theta, opts: FitOptions, trace: _Trace,
-            max_iter: Optional[int] = None, stop_on_score: bool = True):
+            max_iter: Optional[int] = None):
     """Damped Newton with Armijo backtracking (see ``_armijo_step``).
     Returns (the last iterate's ``_Evaluation``, flag).
 
     The link is evaluated once per iterate: the record that accepted a step
     carries that iterate's log likelihood, and its score and Hessian come
     from the same terms."""
-    limit = opts.max_iter if max_iter is None else max_iter
     point = _evaluate(xt, y, link, theta)
-    f = point.loglik
+    limit = opts.max_iter if max_iter is None else max_iter
+    return _newton_steps(xt, y, link, point, point.loglik, opts, trace, limit)[:2]
+
+
+def _newton_steps(xt, y, link, point: _Evaluation, f: float, opts: FitOptions,
+                  trace: _Trace, limit: int):
+    """Up to ``limit`` Newton iterations from ``point``, ``f`` being the best
+    log likelihood reached so far. Returns (last iterate, flag, f). A run
+    that ends "maxiter" continues from its return values exactly as if it
+    had been given the larger limit."""
     for _ in range(limit):
         g, H = point.derivatives(xt, y, link)
-        if stop_on_score and np.max(np.abs(g)) <= opts.tol:
-            return point, "converged"
+        if np.max(np.abs(g)) <= opts.tol:
+            return point, "converged", f
         if np.linalg.norm(point.theta[1:]) > opts.diverge_bound:
-            return point, "diverged"
+            return point, "diverged", f
         direction = _ascent_direction(H, g, opts.ridge)
         slope = float(g @ direction)
         if not np.isfinite(slope) or slope <= 0:
-            return point, "stalled"
+            return point, "stalled", f
         accepted = _armijo_step(xt, y, link, point.theta, f, direction, slope, opts)
         if accepted is None:
-            return point, "stalled"
+            return point, "stalled", f
         point = accepted
         f = max(f, point.loglik)
         trace.accept(point.loglik)
     g, _ = point.derivatives(xt, y, link)
-    if stop_on_score and np.max(np.abs(g)) <= opts.tol:
-        return point, "converged"
-    return point, "maxiter"
+    if np.max(np.abs(g)) <= opts.tol:
+        return point, "converged", f
+    return point, "maxiter", f
+
+
+# The active-set ascent for links whose support has a finite endpoint. A row
+# within KINK_TOL of its own edge (G = 1 for a success, G = 0 for a failure)
+# is held on it; a fit is certified when the supergradient residual is at
+# most CERTIFICATE_TOL (standardized scale).
+KINK_TOL = 1e-7
+CERTIFICATE_TOL = 1e-8
+_KINK_AFTER = 10      # Newton iterations before the active set takes over
+_KINK_STEPS = 50      # active-set iterations before it gives the fit back
+
+
+def _edges(link: LinkFamily, y: np.ndarray):
+    """Each row's own edge of the support (where its term reaches 0), the
+    sign that points past it in z, and the term's slope just inside it."""
+    lo, hi = link.support
+    edge = np.where(y == 1, hi, lo)
+    out = np.where(y == 1, 1.0, -1.0)
+    inside = np.where(np.isfinite(edge), np.nextafter(edge, -out * np.inf), 0.0)
+    terms = np.where(y == 1, link.log_cdf(inside), link.log_sf(inside))
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = np.where(np.isfinite(edge), np.exp(link.log_pdf(inside) - terms), 0.0)
+    return edge, out, slope
+
+
+@dataclass(frozen=True)
+class _KinkCertificate:
+    """The supergradient test at a point: rows held on their edge, their
+    multipliers (each in [0, 1] when the point is a maximizer) and the sup
+    norm of the score left over, standardized scale."""
+
+    held: np.ndarray
+    multipliers: np.ndarray
+    residual: float
+
+    @property
+    def certified(self) -> bool:
+        lam = self.multipliers
+        return bool(self.residual <= CERTIFICATE_TOL and np.all((lam >= 0.0) & (lam <= 1.0)))
+
+
+def _kink_certificate(xt, y, link: LinkFamily, point: _Evaluation, edges) -> _KinkCertificate:
+    """0 lies in the superdifferential of the log likelihood at ``point``
+    (Rockafellar, *Convex Analysis*, section 27) when the score of the
+    smooth rows is balanced by held rows, row i pushing with lambda_i times
+    its one-sided slope. Rows within KINK_TOL of their edge are held; rows
+    past it are flat and push nothing. ``edges`` is ``_edges(link, y)``."""
+    edge, out, slope = edges
+    held = np.abs(point.z - edge) <= KINK_TOL
+    w, _ = _weights(point, y, link)
+    g = xt[~held].T @ w[~held]
+    if not np.all(np.isfinite(g)):
+        return _KinkCertificate(held=held, multipliers=np.zeros(0), residual=math.inf)
+    push = xt[held].T * (out * slope)[held]
+    lam = np.linalg.lstsq(push, -g, rcond=None)[0] if held.any() else np.zeros(0)
+    residual = float(np.max(np.abs(g + push @ lam)))
+    return _KinkCertificate(held=held, multipliers=lam, residual=residual)
+
+
+def _face_step(xt, y, link, point: _Evaluation, model: _Evaluation, held, edge, opts):
+    """Newton step on the face where the held rows sit on their edge: the
+    least-norm move that puts them there, plus the maximizer of the
+    quadratic model of the other rows over the null space of the held ones.
+    Returns (step, model gain per unit step), or None when the model is not
+    finite or the reduced Hessian is not negative definite."""
+    w, dw = _weights(model, y, link)
+    w, dw = np.where(held, 0.0, w), np.where(held, 0.0, dw)
+    g, H = xt.T @ w, xt.T @ (dw[:, None] * xt)
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+        return None
+    p = xt.shape[1]
+    if held.any():
+        u, s, vt = np.linalg.svd(xt[held], full_matrices=True)
+        r = int(np.sum(s > opts.rank_tolerance * s[0]))
+        onto = vt[:r].T @ ((u[:, :r].T @ (edge - point.z)[held]) / s[:r])
+        null = vt[r:].T
+    else:
+        onto, null = np.zeros(p), np.eye(p)
+    if null.shape[1] == 0:
+        return onto, float(g @ onto)
+    evals, evecs = np.linalg.eigh(null.T @ H @ null)
+    if evals.max() >= -opts.ridge * max(1.0, float(np.abs(evals).sum())):
+        return None
+    reduced = null.T @ (g + H @ onto)
+    step = onto - null @ (evecs @ ((evecs.T @ reduced) / evals))
+    return step, float(g @ step)
+
+
+def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float, opts: FitOptions):
+    """Active-set ascent from a Newton iterate to a maximizer at a kink.
+
+    Rows within KINK_TOL of their edge are held on it and rows past it are
+    flat. Each iteration takes a Newton step on the face of the held rows,
+    cut at the first row that reaches its edge and checked by Armijo
+    backtracking on the true log likelihood; a row it stops on is held from
+    then on. When the face is stationary, the held row whose multiplier is
+    furthest outside [0, 1] is let go, modeled on the side its multiplier
+    points to until it leaves the edge. Returns (point, certificate,
+    accepted log likelihoods) for a certified maximizer no worse than ``f``,
+    else None.
+    """
+    edges = _edges(link, y)
+    edge, out, _ = edges
+    bounded = np.isfinite(edge)
+
+    def near(z):
+        return bounded & (np.abs(z - edge) <= KINK_TOL)
+
+    held = near(point.z)
+    side = np.zeros(y.size)       # released rows: -1 modeled inside, +1 flat
+    accepted = []
+    for _ in range(_KINK_STEPS):
+        cert = _kink_certificate(xt, y, link, point, edges)
+        if cert.certified and np.isfinite(point.loglik) and point.loglik >= f:
+            return point, cert, accepted
+        if cert.residual <= CERTIFICATE_TOL:
+            # stationary on this face: let go of the held row whose
+            # multiplier is furthest outside [0, 1]
+            lam = np.full(y.size, 0.5)
+            lam[cert.held] = cert.multipliers
+            excess = np.where(held, np.maximum(-lam, lam - 1.0), 0.0)
+            worst = int(np.argmax(excess))
+            if excess[worst] > 0.0:
+                held[worst] = False
+                side[worst] = 1.0 if lam[worst] < 0.0 else -1.0
+        at_edge = near(point.z)
+        side[~at_edge] = 0.0
+        released = side != 0.0
+        model = point     # its log likelihood field is not read
+        if released.any():
+            zm = np.where(released, edge + side * out * 2.0 * KINK_TOL, point.z)
+            model = _Evaluation(point.theta, zm, np.where(y == 1, link.log_cdf(zm),
+                                                          link.log_sf(zm)), point.loglik)
+        face = _face_step(xt, y, link, point, model, held, edge, opts)
+        if face is None:
+            return None
+        step, gain = face
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hit = (edge - point.z) / (xt @ step)
+        hit = hit[bounded & ~at_edge & (hit > 0.0)]
+        t = min(1.0, float(hit.min())) if hit.size else 1.0
+        cand = _armijo_step(xt, y, link, point.theta, point.loglik, t * step,
+                            t * max(gain, 0.0), opts)
+        if cand is None:
+            return None
+        held |= near(cand.z) & ~at_edge
+        point = cand
+        accepted.append(point.loglik)
+    return None
 
 
 def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOptions,
@@ -315,6 +483,31 @@ def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOption
             if step < 1e-8:
                 break
     return point
+
+
+def _newton_then_kink(xt, y, link, theta, opts: FitOptions, trace: _Trace):
+    """Newton for at most _KINK_AFTER iterations; if that does not finish,
+    the active-set ascent (``_kink_ascent``). Returns (point, flag,
+    certificate or None). When the ascent certifies nothing, Newton goes on
+    where it stopped, so the fit ends exactly as Newton alone would."""
+    point = _evaluate(xt, y, link, theta)
+    point, flag, f = _newton_steps(xt, y, link, point, point.loglik, opts, trace,
+                                   min(_KINK_AFTER, opts.max_iter))
+    if flag not in ("maxiter", "stalled"):
+        return point, flag, None
+    try:
+        kink = _kink_ascent(xt, y, link, point, f, opts)
+    except np.linalg.LinAlgError:    # an SVD or eigensolver that did not converge
+        kink = None
+    if kink is not None:
+        point, cert, accepted = kink
+        for value in accepted:
+            trace.accept(value)
+        return point, "converged", cert
+    if flag == "maxiter":
+        point, flag, _ = _newton_steps(xt, y, link, point, f, opts, trace,
+                                       opts.max_iter - _KINK_AFTER)
+    return point, flag, None
 
 
 def _to_raw(theta_std: np.ndarray, center: np.ndarray, spread: np.ndarray) -> Parameters:
@@ -358,14 +551,21 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     report has none (cone margin positive but below tolerance).
 
     Status values: Converged (score within tolerance at an interior
-    maximum), Diverged (groups separated; slope escaped the bound with the
-    log likelihood still climbing), MaxIterations, NotUnique (design matrix
+    maximum, or a maximizer at a kink certified as described below),
+    Diverged (groups separated; slope escaped the bound with the log
+    likelihood still climbing), MaxIterations, NotUnique (design matrix
     numerically rank-deficient; the returned point still maximizes the
     likelihood but not uniquely). Non-log-concave links are fitted from
     ``options.starts`` spread starting points and the best local optimum is
     returned with a caveat. When the cone program fails numerically at
     d > 1, the fit proceeds as if the groups overlap and its caveat names
     the failure.
+
+    At a kink, Converged means that the rows held on the edge of the
+    support have multipliers in [0, 1], the supergradient residual is at
+    most CERTIFICATE_TOL and the log likelihood is finite and no lower than
+    Newton's best iterate. ``score_norm`` then reports that residual rather
+    than the one-sided score, and ``caveat`` says how many rows are held.
     """
     opts = options or FitOptions()
     opts.validate()
@@ -393,6 +593,7 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
 
     trace = _Trace()
     caveat = None
+    cert = None
 
     if not rank_ok:
         point, _ = _newton(xt, y, link, theta0, opts, trace)
@@ -414,7 +615,10 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
                 point = _march_to_divergence(xt, y, link, point, gamma, opts, trace)
             status = DIVERGED
     elif link.claims_log_concave:
-        point, flag = _newton(xt, y, link, theta0, opts, trace)
+        if verdict == OVERLAP and np.isfinite(link.support).any():
+            point, flag, cert = _newton_then_kink(xt, y, link, theta0, opts, trace)
+        else:
+            point, flag = _newton(xt, y, link, theta0, opts, trace)
         status = _STATUS[flag]
     else:
         caveat = "link is not log-concave: best local optimum from multi-start"
@@ -432,6 +636,12 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     score_std, hess = point.derivatives(xt, y, link)
     score_norm = float(np.max(np.abs(score_std)))
     hess_cond = _hessian_condition(hess)
+    if cert is not None:
+        score_norm = cert.residual
+        held = int(cert.held.sum())
+        if held:
+            caveat = (f"maximizer at a kink: {held} {'row' if held == 1 else 'rows'} held on "
+                      f"the edge of the support, multipliers certified in [0, 1]")
 
     return FitResult(
         params=_to_raw(point.theta, center, spread),

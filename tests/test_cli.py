@@ -1,9 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binreg.mle
 from binreg import read_csv
 from binreg.cli import main
 
@@ -19,8 +21,13 @@ LIVELOCK = DATA / "separated_pivot_livelock.csv"
 OFFSET_SEPARATED = DATA / "offset_separated_d1.csv"
 OFFSET_OVERLAPPING = DATA / "offset_overlapping_d2.csv"
 
-# `binreg verify --trials 40 --seed 7` as written before the Newton line
-# search evaluated its halvings in batches; a change that moves verify
+# y = 0 at linspace(-1, 1, 20), y = 1 at the same grid + 1.5 and one y = 1
+# outlier at x = -100: the uniform maximizer holds a row on the edge of the
+# support, and cauchit's slope has the wrong sign
+SIGN_WITNESS = DATA / "sign_witness_d1.csv"
+
+# `binreg verify --trials 40 --seed 7` as written once uniform fits that end
+# on a kink of the support were certified; a change that moves verify
 # outputs on purpose regenerates this file and says so
 VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 
@@ -157,6 +164,17 @@ class TestFitCommand:
         assert unshifted.status == "Converged"
         np.testing.assert_allclose(payload["beta"], 100.0 * unshifted.params.beta, rtol=1e-8)
 
+    def test_uniform_fit_at_a_kink_is_certified(self, capsys):
+        code, out, _ = run_cli(capsys, "fit", "--csv", str(SIGN_WITNESS), "--link", "uniform")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "Converged"
+        assert payload["beta"][0] < 0.0
+        # plain Newton stopped at MaxIterations with log likelihood -28.02438557
+        assert payload["loglik"] > -28.02438556
+        assert payload["score_norm"] <= 1e-8
+        assert payload["caveat"].startswith("maximizer at a kink: 1 row held")
+
     def test_json_out_file(self, capsys, csvs, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run_cli(capsys, "fit", "--csv", csvs["olap"], "--json-out", str(target))
@@ -231,15 +249,26 @@ class TestVerifyCommand:
         assert code == 0
         assert out.encode() == VERIFY_GOLDEN.read_bytes()
 
-    def test_unfinished_uniform_sign_fits_are_skipped(self, capsys):
-        # four of these fits end MaxIterations; an unfinished fit has not
-        # reached the maximizer the sign statement is about
+    def test_unfinished_uniform_sign_fits_are_skipped(self, capsys, monkeypatch):
+        # without the kink certificate four of these fits end MaxIterations;
+        # an unfinished fit has not reached the maximizer the sign statement
+        # is about
+        monkeypatch.setattr(binreg.mle, "_kink_ascent", lambda *args: None)
         code, out, _ = run_cli(capsys, "verify", "--theorem", "sign", "--link", "uniform",
                                "--trials", "60", "--seed", "5")
         assert code == 0
         (result,) = json.loads(out)["results"]
         assert (result["passes"], result["skipped"], result["failures"]) == (56, 4, 0)
         assert np.isfinite(result["worst_slack"])
+
+    def test_uniform_sign_fits_at_a_kink_are_checked(self, capsys):
+        # plain Newton left 18 of these 200 trials at MaxIterations
+        code, out, _ = run_cli(capsys, "verify", "--theorem", "sign", "--link", "uniform",
+                               "--trials", "200", "--seed", "11")
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert result["failures"] == 0
+        assert result["skipped"] <= 0
 
     def test_reproducible(self, capsys):
         args = ("verify", "--theorem", "zero", "--link", "logit", "--trials", "8", "--seed", "5")
@@ -267,6 +296,20 @@ class TestSimulateCommand:
                                "--seed", "3", "--mu0", "0,0", "--mu1", "1,0")
         assert code == 0
         assert out.splitlines()[0] == "x0,x1,y"
+
+
+class TestProcessState:
+    def test_commands_leave_numpy_and_warning_state_alone(self, capsys, csvs):
+        # the benchmark checks outputs in the process that ran the command,
+        # so a leaked np.seterr or warning filter would change those checks
+        errors, filters = np.geterr(), list(warnings.filters)
+        for argv in (["fit", "--csv", str(SIGN_WITNESS), "--link", "uniform"],
+                     ["fit", "--csv", csvs["sep"], "--force"],
+                     ["overlap", "--csv", csvs["olap"]],
+                     ["verify", "--trials", "2", "--seed", "3"]):
+            run_cli(capsys, *argv)
+            assert np.geterr() == errors
+            assert warnings.filters == filters
 
 
 class TestErrorPaths:

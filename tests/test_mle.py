@@ -11,6 +11,7 @@ from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, ConfigError, FitOptions,
                     extended_design, fit, gen_overlapping, gen_separated, get_link, grid_mle,
                     group_stats, hessian, log_likelihood, read_csv, scalar_overlap,
                     score)
+from binreg.verify import OracleBoundsError
 
 DATA = Path(__file__).parent / "data"
 
@@ -717,3 +718,207 @@ class TestCarriedEvaluation:
         fr = fit(ds, link)
         assert fr.status == CONVERGED and fr.iterations >= 4
         assert calls == {"log_cdf": fr.iterations + 1, "log_pdf": fr.iterations + 1}
+
+
+UNIFORM = get_link("uniform")
+
+
+def newton_alone(ds, link, opts=None):
+    """The fit as plain Newton from fit's start on fit's standardized
+    design: (last iterate, flag, trace)."""
+    xs, center, spread = mle._standardize(ds.x)
+    xt = mle._with_intercept(xs)
+    theta = np.zeros(ds.d + 1)
+    theta[0] = link.inverse(ds.n1 / ds.n)
+    trace = mle._Trace()
+    point, flag = mle._newton(xt, ds.y, link, theta, opts or FitOptions(), trace)
+    return point, flag, trace, center, spread
+
+
+def uniform_stalls(seeds, max_n=40):
+    """gen_overlapping sets on which plain Newton ends without converging
+    for the uniform link, with Newton's last iterate."""
+    for seed in seeds:
+        ds = gen_overlapping(8 + seed % (max_n - 7), 1 + seed % 3 if max_n > 20 else 1 + seed % 2,
+                             seed)
+        point, flag, *_ = newton_alone(ds, UNIFORM)
+        if flag != "converged":
+            yield ds, point
+
+
+def independent_certificate(ds, fr):
+    """The supergradient test for the uniform link written out in numpy from
+    the raw coefficients: (rows within 1e-7 of their edge, multipliers,
+    residual on fit's standardized scale)."""
+    z = fr.params.alpha + ds.x @ fr.params.beta
+    one = ds.y == 1
+    edge = np.where(one, 1.0, 0.0)
+    held = np.abs(z - edge) <= 1e-7
+    inside = ~held & (z > 0.0) & (z < 1.0)
+    w = np.zeros(ds.n)
+    w[inside & one] = 1.0 / z[inside & one]
+    w[inside & ~one] = -1.0 / (1.0 - z[inside & ~one])
+    xt = mle._with_intercept(mle._standardize(ds.x)[0])
+    g = xt.T @ w
+    push = xt[held].T * np.where(one, 1.0, -1.0)[held]
+    lam = np.linalg.lstsq(push, -g, rcond=None)[0]
+    return held, lam, float(np.max(np.abs(g + push @ lam)))
+
+
+class TestKinkAscent:
+    """Uniform fits whose maximizer sits on the edge of the support are
+    certified by the active-set ascent; anything else ends as Newton alone."""
+
+    def test_certified_stalls_beat_newton_and_the_grid_oracle(self):
+        compared = 0
+        for ds, stalled in uniform_stalls(range(100), max_n=20):
+            fr = fit(ds, UNIFORM)
+            assert fr.status == CONVERGED
+            assert fr.loglik >= stalled.loglik
+            try:
+                oracle = grid_mle(ds, UNIFORM, bounds=(-2.0, 2.0))
+            except OracleBoundsError:
+                continue
+            assert fr.loglik >= log_likelihood(ds, UNIFORM, oracle) - 1e-12 * abs(fr.loglik)
+            compared += 1
+        assert compared >= 20
+
+    def test_every_certified_fit_passes_an_independent_check(self):
+        stalls = list(uniform_stalls(range(120)))
+        certified = 0
+        for ds, _ in stalls:
+            fr = fit(ds, UNIFORM)
+            if fr.status != CONVERGED:
+                continue
+            certified += 1
+            held, lam, residual = independent_certificate(ds, fr)
+            assert math.isfinite(fr.loglik)
+            assert fr.loglik == pytest.approx(log_likelihood(ds, UNIFORM, fr.params), rel=1e-12)
+            assert fr.score_norm <= mle.CERTIFICATE_TOL
+            assert residual <= mle.CERTIFICATE_TOL
+            assert np.all((lam >= 0.0) & (lam <= 1.0))
+            assert held.any() and f"{held.sum()} row" in fr.caveat
+            # held rows are moved onto the edge, not left up to 1e-7 off it
+            z = fr.params.alpha + ds.x @ fr.params.beta
+            assert np.all(np.abs(z[held] - (ds.y[held] == 1)) <= 1e-12)
+        assert len(stalls) >= 25 and certified == len(stalls)
+
+    def test_a_singular_reduced_hessian_ends_as_newton_alone(self, monkeypatch):
+        # n = 6 at d = 3: three of the six rows are flat at the takeover
+        # point, so the remaining three cannot curve the four parameters
+        ds = gen_overlapping(6, 3, 120)
+        singular = []
+        face_step = mle._face_step
+
+        def recording(*args):
+            step = face_step(*args)
+            singular.append(step is None)
+            return step
+
+        monkeypatch.setattr(mle, "_face_step", recording)
+        fr = fit(ds, UNIFORM)
+        point, flag, trace, center, spread = newton_alone(ds, UNIFORM)
+        assert singular == [True] and flag == "maxiter"
+        assert fr.status == "MaxIterations" and fr.caveat is None
+        assert bits(fr.params.beta) == bits(mle._to_raw(point.theta, center, spread).beta)
+        assert bits(fr.loglik) == bits(point.loglik)
+        assert (fr.iterations, fr.history) == (trace.iterations, tuple(trace.history))
+
+    def test_a_failed_factorization_ends_as_newton_alone(self, monkeypatch):
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(mle, "_face_step", fail)
+        ds, stalled = next(uniform_stalls(range(60)))
+        fr = fit(ds, UNIFORM)
+        assert fr.status == "MaxIterations" and fr.iterations == FitOptions().max_iter
+        assert bits(fr.loglik) == bits(stalled.loglik)
+
+    @pytest.mark.parametrize("max_iter", [5, 100])
+    def test_without_a_certificate_newton_resumes_where_it_stopped(self, monkeypatch, max_iter):
+        monkeypatch.setattr(mle, "_kink_ascent", lambda *args: None)
+        opts = FitOptions(max_iter=max_iter)
+        for ds, _ in uniform_stalls(range(12)):
+            fr = fit(ds, UNIFORM, opts)
+            point, flag, trace, center, spread = newton_alone(ds, UNIFORM, opts)
+            assert fr.status == mle._STATUS[flag]
+            assert bits(fr.params.alpha) == bits(mle._to_raw(point.theta, center, spread).alpha)
+            assert bits(fr.score_norm) == bits(np.max(np.abs(point.derivatives(
+                mle._with_intercept(mle._standardize(ds.x)[0]), ds.y, UNIFORM)[0])))
+            assert (fr.iterations, fr.history) == (trace.iterations, tuple(trace.history))
+
+    def test_unbounded_links_and_other_paths_never_take_over(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("active set ran")
+
+        monkeypatch.setattr(mle, "_kink_ascent", refuse)
+        stalled = next(uniform_stalls(range(60)))[0]
+        for name in SMOOTH_NAMES:
+            fit(stalled, get_link(name))
+        fit(gen_separated(24, 2, 7), UNIFORM)                        # Separated
+        x = np.random.default_rng(2).normal(size=(30, 1))
+        fit(make_ds(np.hstack([x, 2.0 * x]), (x[:, 0] > 0).astype(int)), UNIFORM)  # NotUnique
+
+        def fail(*args):
+            raise mle.LPNumericalFailure("pivot budget exhausted")
+
+        # a failed cone program at d > 1 leaves existence uncertified
+        monkeypatch.setattr(mle, "cone_overlap", fail)
+        stalled_d2 = next(ds for ds, _ in uniform_stalls(range(60)) if ds.d > 1)
+        assert fit(stalled_d2, UNIFORM).status == "MaxIterations"
+
+    def test_a_held_row_is_let_go_when_its_multiplier_leaves_the_interval(self):
+        # two rows reach their edge, and the face they hold is stationary
+        # with multipliers 4.2 and -3.2; each is let go in turn before the
+        # maximizer, 0.016 above Newton's last iterate, is certified
+        ds = gen_overlapping(15, 2, 129)
+        point, flag, *_ = newton_alone(ds, UNIFORM)
+        fr = fit(ds, UNIFORM)
+        assert flag == "maxiter" and fr.status == CONVERGED
+        assert fr.loglik > point.loglik + 0.01
+
+    def test_steps_stop_at_the_first_edge_they_reach(self, monkeypatch):
+        steps, ascending = [], []
+        armijo_step, kink_ascent = mle._armijo_step, mle._kink_ascent
+
+        def recording(xt, y, link, theta, f, direction, slope, opts):
+            accepted = armijo_step(xt, y, link, theta, f, direction, slope, opts)
+            if ascending:
+                steps.append((xt @ theta, accepted.z))
+            return accepted
+
+        def ascent(*args):
+            ascending.append(True)
+            try:
+                return kink_ascent(*args)
+            finally:
+                ascending.pop()
+
+        monkeypatch.setattr(mle, "_armijo_step", recording)
+        monkeypatch.setattr(mle, "_kink_ascent", ascent)
+        for ds, _ in uniform_stalls(range(40)):
+            del steps[:]
+            assert fit(ds, UNIFORM).status == CONVERGED
+            edge = np.where(ds.y == 1, 1.0, 0.0)
+            out = np.where(ds.y == 1, 1.0, -1.0)
+            assert steps
+            for before, after in steps:
+                before, after = out * (before - edge), out * (after - edge)
+                assert not np.any((before < -mle.KINK_TOL) & (after > mle.KINK_TOL))
+
+    def test_a_certificate_below_newtons_best_is_refused(self):
+        ds, stalled = next(uniform_stalls(range(60)))
+        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        opts = FitOptions()
+        assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, stalled.loglik, opts) is not None
+        assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, 0.0, opts) is None
+
+    def test_certificate_rejects_a_point_off_the_maximizer(self):
+        ds, stalled = next(uniform_stalls(range(60)))
+        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        cert = mle._kink_certificate(xt, ds.y, UNIFORM, stalled, mle._edges(UNIFORM, ds.y))
+        assert not cert.certified
+        # a held row's multiplier pushed outside [0, 1] fails the test too
+        fr = fit(ds, UNIFORM)
+        assert fr.status == CONVERGED
+        assert not mle._KinkCertificate(cert.held, np.array([1.5]), 0.0).certified

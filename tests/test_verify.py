@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, OVERLAP, SEPARATED,
                     cone_overlap, dataset_from_arrays, extended_design, fit,
                     gen_balanced, gen_gaussian, gen_overlapping, gen_separated,
                     get_link, grid_mle, group_stats, run_angle_suite,
-                    run_sign_suite, run_zero_suite, shift_dataset)
+                    read_csv, run_sign_suite, run_zero_suite, scalar_overlap,
+                    shift_dataset)
 
 LOGIT = get_link("logit")
+
+# y = 0 at linspace(-1, 1, 20), y = 1 at the same grid + 1.5, and one y = 1
+# outlier at x = -100, so the mean difference is -3.33
+SIGN_WITNESS = Path(__file__).parent / "data" / "sign_witness_d1.csv"
 
 
 def make_ds(x, y):
@@ -89,6 +95,35 @@ class TestCheckSign:
         fr = fit(shift_dataset(ds), LOGIT)
         with pytest.raises(PreconditionError):
             check_sign(fr, group_stats(shift_dataset(ds)))
+
+
+class TestSignWitness:
+    """A positive control: one outlier turns cauchit's slope against the
+    mean difference, while every log-concave link keeps its sign."""
+
+    @staticmethod
+    def sign_report(name):
+        ds = read_csv(SIGN_WITNESS)
+        fr = fit(ds, get_link(name))
+        assert fr.status == CONVERGED
+        return fr, check_sign(fr, group_stats(ds))
+
+    def test_the_set_overlaps_with_a_negative_mean_difference(self):
+        ds = read_csv(SIGN_WITNESS)
+        assert (ds.n, ds.d) == (41, 1)
+        assert scalar_overlap(ds).verdict == OVERLAP
+        assert group_stats(ds).delta[0] == pytest.approx(-10.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["logit", "probit", "cloglog", "uniform"])
+    def test_log_concave_links_keep_the_sign(self, name):
+        fr, rep = self.sign_report(name)
+        assert fr.params.beta[0] < 0.0
+        assert rep.holds
+
+    def test_cauchit_fails_the_sign_check(self):
+        fr, rep = self.sign_report("cauchit")
+        assert fr.params.beta[0] == pytest.approx(4.32, abs=0.01)
+        assert not rep.holds
 
 
 class TestCheckAngle:
