@@ -104,9 +104,10 @@ class Logit(LinkFamily):
 
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
-        # np.where evaluates both branches; the discarded one may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        # e = exp(-|z|) is exp(-z) on the right branch and exp(z) on the
+        # left, and at most 1, so neither branch can overflow
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def pdf(self, z):
         p = self.cdf(z)

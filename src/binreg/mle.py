@@ -9,7 +9,11 @@ overlap, Newton converges to the unique maximizer; when they are
 separated, the fit follows the report's separating direction with doubling
 steps, along which the log likelihood is provably nondecreasing, until the
 slope norm crosses the divergence bound, and reports Diverged with the
-last iterate.
+last iterate. The march starts at once when the separation is strict (every
+row's signed margin along the direction clears ``STRICT_MARGIN`` times the
+largest): the supremum is then 0 and there is no finite part to fit. When
+some rows are tied (quasi-separation), Newton first fits the tied rows'
+finite part for up to 25 iterations and the march continues from there.
 
 Each Newton step is damped by Armijo backtracking over the steps 1, 1/2,
 ..., 2**(1 - max_halvings). Step 1 is one log likelihood evaluation; when
@@ -462,6 +466,14 @@ def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float, opts: Fi
     return None
 
 
+# A Separated fit whose every row's signed margin along the separating
+# direction exceeds STRICT_MARGIN times the largest is strictly separated.
+# Tied rows have margins at rounding level (below 1e-15 of the largest on the
+# tie fixtures); strictly separated sets have margins of at least a few
+# percent of it.
+STRICT_MARGIN = 1e-8
+
+
 def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOptions,
                          trace: _Trace) -> _Evaluation:
     """Doubling steps along a separating direction from ``point`` until the
@@ -548,7 +560,13 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     verdict is used instead of solving the cone program again. Without one,
     fit makes that same ``cone_overlap`` call. On separated data it follows
     the report's direction, or runs plain Newton with a caveat when the
-    report has none (cone margin positive but below tolerance).
+    report has none (cone margin positive but below tolerance). Along the
+    direction, a strictly separated set is marched from the starting point
+    with no Newton iteration; a set with tied rows (a signed margin of at
+    most ``STRICT_MARGIN`` times the largest) runs up to 25 Newton
+    iterations first, which fit the tied rows' share of the supremum. For
+    the log-concave links both routes reach the same supremum; cauchit's
+    log likelihood at the slope bound depends on where the march started.
 
     Status values: Converged (score within tolerance at an interior
     maximum, or a maximizer at a kink certified as described below),
@@ -609,10 +627,17 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             caveat = "overlap margin below tolerance; treat the fit as fragile"
         else:
             gamma = _to_standardized(report.direction, center, spread)
-            point, flag = _newton(xt, y, link, theta0, opts, trace,
-                                  max_iter=min(opts.max_iter, 25))
-            if flag != "diverged":
-                point = _march_to_divergence(xt, y, link, point, gamma, opts, trace)
+            margins = np.where(y == 1, 1.0, -1.0) * (xt @ gamma)
+            if margins.min() > STRICT_MARGIN * np.max(np.abs(margins)):
+                # strict separation: the supremum 0 has no finite part for
+                # Newton to fit, and the march alone reaches it
+                point = _evaluate(xt, y, link, theta0)
+            else:
+                # tied rows: Newton fits their finite part first (the march
+                # takes no step from an iterate already past the bound)
+                point, _ = _newton(xt, y, link, theta0, opts, trace,
+                                   max_iter=min(opts.max_iter, 25))
+            point = _march_to_divergence(xt, y, link, point, gamma, opts, trace)
             status = DIVERGED
     elif link.claims_log_concave:
         if verdict == OVERLAP and np.isfinite(link.support).any():

@@ -33,8 +33,9 @@ VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 
 # `binreg fit` with and without --force for every link on three tests/data
 # CSVs and one simulated overlapping set (``fit_golden_lines``), as written
-# once the cone program was posed on the standardized design; regenerated
-# only by a change that moves fit outputs on purpose
+# once strictly separated fits marched from the start without Newton (only
+# the separated_pivot_livelock.csv --force lines moved); regenerated only by
+# a change that moves fit outputs on purpose
 FIT_GOLDEN = DATA / "fit_golden.json"
 GOLDEN_CSVS = ("quasi_separated_tie.csv", "quasi_separated_tie_pivots.csv",
                "separated_pivot_livelock.csv")

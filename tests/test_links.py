@@ -44,6 +44,24 @@ class TestEval:
         assert float(link.cdf(-1000.0)) < 1e-3
         assert float(link.cdf(1000.0)) > 1 - 1e-3
 
+    def test_logit_cdf_matches_the_three_exp_formula_bit_for_bit(self):
+        # the formula Logit.cdf used before it took one exp(-|z|) per value
+        def three_exp_cdf(z):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+        rng = np.random.default_rng(13)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+                   709.78, -709.78, 36.7, -36.7, 5e-324, -5e-324, 1e308, -1e308]
+        z = np.concatenate([special, rng.normal(scale=3.0, size=20000),
+                            rng.uniform(-800.0, 800.0, size=20000),
+                            np.ldexp(1.0, rng.integers(-1074, 1024, size=2000))
+                            * rng.choice([-1.0, 1.0], size=2000)])
+        new, old = np.asarray(get_link("logit").cdf(z)), three_exp_cdf(z)
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        keep = ~np.isnan(old)
+        assert np.array_equal(new[keep].view(np.uint64), old[keep].view(np.uint64))
+
 
 class TestLogForms:
     def test_logit_at_zero(self):

@@ -922,3 +922,76 @@ class TestKinkAscent:
         fr = fit(ds, UNIFORM)
         assert fr.status == CONVERGED
         assert not mle._KinkCertificate(cert.held, np.array([1.5]), 0.0).certified
+
+
+def count_ascent_directions(monkeypatch):
+    """Count Newton iterations as ``_ascent_direction`` calls."""
+    calls = []
+    ascent = mle._ascent_direction
+
+    def counted(*args):
+        calls.append(1)
+        return ascent(*args)
+
+    monkeypatch.setattr(mle, "_ascent_direction", counted)
+    return calls
+
+
+def newton_then_march_loglik(ds, link, report):
+    """The log likelihood of the tied-row route: 25 Newton iterations from
+    fit's start, then the march along the report's direction."""
+    point, _, trace, center, spread = newton_alone(ds, link, FitOptions(max_iter=25))
+    xt = mle._with_intercept(mle._standardize(ds.x)[0])
+    gamma = mle._to_standardized(report.direction, center, spread)
+    return mle._march_to_divergence(xt, ds.y, link, point, gamma, FitOptions(), trace).loglik
+
+
+class TestStrictSeparation:
+    """A strictly separated fit marches along the report's direction from
+    fit's start and runs no Newton iteration. For the log-concave links the
+    march reaches the supremum 0, as Newton then the march does. Cauchit's
+    1/z tail leaves its log likelihood at the slope bound short of 0 by an
+    amount that depends on the direction's margin, so the two routes differ
+    there by up to about 1e-3 and only divergence and separation are
+    checked."""
+
+    @staticmethod
+    def check(ds, link, report, calls):
+        fr = fit(ds, link, overlap=report)
+        assert fr.status == DIVERGED
+        assert calls == []
+        z = fr.params.alpha + ds.x @ fr.params.beta
+        assert z[ds.y == 1].min() > 0.0 > z[ds.y == 0].max()
+        if link.claims_log_concave:
+            assert fr.loglik == newton_then_march_loglik(ds, link, report) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_generated_separated_sets_skip_newton(self, name, d, monkeypatch):
+        link = get_link(name)
+        for seed in range(4):
+            for n in (10, 40):
+                ds = gen_separated(n, d, seed)
+                report = cone_overlap(extended_design(ds), ds.y)
+                calls = count_ascent_directions(monkeypatch)
+                self.check(ds, link, report, calls)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_interval_report_skips_newton(self, name, monkeypatch):
+        for seed in range(4):
+            ds = gen_separated(30, 1, seed)
+            report = scalar_overlap(ds)
+            calls = count_ascent_directions(monkeypatch)
+            self.check(ds, get_link(name), report, calls)
+
+    @pytest.mark.parametrize("case", ["quasi_separated_tie", "quasi_separated_tie_pivots",
+                                      "tied_pair"])
+    def test_tied_rows_take_newton_first(self, case, monkeypatch):
+        if case == "tied_pair":
+            ds = make_ds([2, 2, 2, 5], [0, 1, 1, 1])
+        else:
+            ds = read_csv(DATA / f"{case}.csv")
+        calls = count_ascent_directions(monkeypatch)
+        fr = fit(ds, LOGIT)
+        assert fr.status == DIVERGED
+        assert len(calls) > 0

@@ -19,6 +19,10 @@ LOGIT = get_link("logit")
 # outlier at x = -100, so the mean difference is -3.33
 SIGN_WITNESS = Path(__file__).parent / "data" / "sign_witness_d1.csv"
 
+# the same two groups with the y = 1 outlier at x = -30 instead, so the group
+# means coincide up to rounding (|delta| = 1.3e-17); values written with repr
+ZERO_WITNESS = Path(__file__).parent / "data" / "zero_witness_d1.csv"
+
 
 def make_ds(x, y):
     return dataset_from_arrays(np.asarray(x, dtype=float), np.asarray(y))
@@ -124,6 +128,29 @@ class TestSignWitness:
         fr, rep = self.sign_report("cauchit")
         assert fr.params.beta[0] == pytest.approx(4.32, abs=0.01)
         assert not rep.holds
+
+
+class TestZeroWitness:
+    """A positive control for the zero-coefficient equivalence: equal group
+    means force a zero slope for every log-concave link, while the outlier
+    gives cauchit a slope far from zero."""
+
+    def test_the_set_overlaps_with_equal_means(self):
+        ds = read_csv(ZERO_WITNESS)
+        assert (ds.n, ds.d) == (41, 1)
+        assert scalar_overlap(ds).verdict == OVERLAP
+        assert 0.0 < abs(group_stats(ds).delta[0]) <= 1e-16
+
+    @pytest.mark.parametrize("name", ["logit", "probit", "cloglog", "uniform"])
+    def test_log_concave_links_give_a_zero_slope(self, name):
+        rep = check_zero_iff(read_csv(ZERO_WITNESS), get_link(name))
+        assert rep.holds
+
+    def test_cauchit_fails_the_zero_check(self):
+        ds = read_csv(ZERO_WITNESS)
+        rep = check_zero_iff(ds, get_link("cauchit"))
+        assert not rep.holds
+        assert rep.slack == pytest.approx(4.32, abs=0.01)
 
 
 class TestCheckAngle:
