@@ -30,7 +30,8 @@ class LinkFamily:
 
     Subclasses provide vectorized cdf/pdf/log_cdf/log_sf/log_pdf and the
     log-density slope g'/g used for second derivatives. ``support`` is the
-    open interval on which 0 < G < 1; unbounded by default.
+    open interval on which 0 < G < 1; unbounded by default. ``log_terms``
+    gives the per-row log likelihood terms from these.
     """
 
     name: str = "abstract"
@@ -51,6 +52,11 @@ class LinkFamily:
 
     def log_pdf(self, z):
         raise NotImplementedError
+
+    def log_terms(self, z, y):
+        """log G(z) where y == 1 and log(1 - G(z)) elsewhere; ``y`` runs
+        along the last axis of ``z``."""
+        return np.where(y == 1, self.log_cdf(z), self.log_sf(z))
 
     def pdf_log_slope(self, z):
         """d/dz log g(z), finite on the interior of the support."""
@@ -98,7 +104,19 @@ def _check_prob(p: float) -> None:
         raise OutOfRange(f"probability must lie strictly in (0, 1), got {p}")
 
 
-class Logit(LinkFamily):
+class _Symmetric(LinkFamily):
+    """A link with 1 - G(z) = G(-z): log(1 - G) is log G at -z, so each
+    row's log likelihood term is one log G evaluation at z or -z."""
+
+    def log_sf(self, z):
+        return self.log_cdf(-np.asarray(z, dtype=float))
+
+    def log_terms(self, z, y):
+        z = np.asarray(z, dtype=float)
+        return self.log_cdf(np.where(y == 1, z, -z))
+
+
+class Logit(_Symmetric):
     name = "logit"
     claims_log_concave = True
 
@@ -114,13 +132,15 @@ class Logit(LinkFamily):
         return p * (1.0 - p)
 
     def log_cdf(self, z):
-        return -np.logaddexp(0.0, -np.asarray(z, dtype=float))
-
-    def log_sf(self, z):
-        return -np.logaddexp(0.0, np.asarray(z, dtype=float))
+        # log G(z) = min(z, 0) - log(1 + exp(-|z|)), whose exp cannot
+        # overflow (Maechler 2012, "Accurately computing log(1 - exp(-|a|))")
+        z = np.asarray(z, dtype=float)
+        return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
 
     def log_pdf(self, z):
-        return self.log_cdf(z) + self.log_sf(z)
+        # log g = log G(z) + log G(-z) = -|z| - 2 log(1 + exp(-|z|))
+        a = np.abs(np.asarray(z, dtype=float))
+        return -a - 2.0 * np.log1p(np.exp(-a))
 
     def pdf_log_slope(self, z):
         return 1.0 - 2.0 * self.cdf(z)
@@ -130,7 +150,7 @@ class Logit(LinkFamily):
         return math.log(p) - math.log1p(-p)
 
 
-class Probit(LinkFamily):
+class Probit(_Symmetric):
     name = "probit"
     claims_log_concave = True
 
@@ -143,9 +163,6 @@ class Probit(LinkFamily):
 
     def log_cdf(self, z):
         return log_ndtr(np.asarray(z, dtype=float))
-
-    def log_sf(self, z):
-        return log_ndtr(-np.asarray(z, dtype=float))
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -201,7 +218,7 @@ class Cloglog(LinkFamily):
         return math.log(-math.log1p(-p))
 
 
-class Cauchit(LinkFamily):
+class Cauchit(_Symmetric):
     """G(z) = arctan(z)/pi + 1/2. Heavy tails; not log-concave."""
 
     name = "cauchit"
@@ -224,9 +241,6 @@ class Cauchit(LinkFamily):
             tail = np.log(np.arctan(-1.0 / zsafe)) - math.log(math.pi)
         direct = np.log(np.arctan(np.where(neg, 0.0, z)) / math.pi + 0.5)
         return np.where(neg, tail, direct)
-
-    def log_sf(self, z):
-        return self.log_cdf(-np.asarray(z, dtype=float))
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)

@@ -29,7 +29,9 @@ The link is evaluated once per Newton iterate (Nocedal & Wright,
 *Numerical Optimization*, section 3.1): the evaluation that accepted a step,
 the linear predictor and per-row log likelihood terms of the new iterate,
 is carried to it and gives its log likelihood, score and Hessian, and those
-of the last iterate are what ``fit`` reports.
+of the last iterate are what ``fit`` reports. Every per-row term comes from
+one ``link.log_terms`` call, which for a symmetric link is a single log G
+evaluation at z or -z.
 
 A link whose support has a finite endpoint (the uniform CDF) gives each row
 a kink where its G or 1 - G reaches 1: log G(z) = min(log z, 0). Maxima
@@ -139,7 +141,7 @@ class _Evaluation:
 
 def _evaluate(xt, y, link: LinkFamily, theta: np.ndarray) -> _Evaluation:
     z = xt @ theta
-    terms = np.where(y == 1, link.log_cdf(z), link.log_sf(z))
+    terms = link.log_terms(z, y)
     return _Evaluation(theta, z, terms, float(np.sum(terms)))
 
 
@@ -161,9 +163,9 @@ def _weights(point: _Evaluation, y, link):
     with np.errstate(invalid="ignore", over="ignore"):
         e = np.exp(link.log_pdf(z) - point.terms)
         slope = link.pdf_log_slope(z)
-        is1 = y == 1
-        w = np.where(is1, e, -e)
-        dw = np.where(is1, e * (slope - e), -e * (slope + e))
+        w = np.where(y == 1, e, -e)
+        # for a failure, -e * (slope + e), in the same roundings
+        dw = w * (slope - w)
     return w, dw
 
 
@@ -226,7 +228,7 @@ def _evaluate_rows(xt, y, link, cands: np.ndarray):
     C-contiguous term array takes the same pairwise summation as ``np.sum``
     of one row."""
     z = np.matmul(xt[None], cands[:, :, None])[:, :, 0]
-    terms = np.where(y == 1, link.log_cdf(z), link.log_sf(z))
+    terms = link.log_terms(z, y)
     return z, terms, terms.sum(axis=1)
 
 
@@ -334,7 +336,7 @@ def _edges(link: LinkFamily, y: np.ndarray):
     edge = np.where(y == 1, hi, lo)
     out = np.where(y == 1, 1.0, -1.0)
     inside = np.where(np.isfinite(edge), np.nextafter(edge, -out * np.inf), 0.0)
-    terms = np.where(y == 1, link.log_cdf(inside), link.log_sf(inside))
+    terms = link.log_terms(inside, y)
     with np.errstate(invalid="ignore", over="ignore"):
         slope = np.where(np.isfinite(edge), np.exp(link.log_pdf(inside) - terms), 0.0)
     return edge, out, slope
@@ -446,8 +448,7 @@ def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float, opts: Fi
         model = point     # its log likelihood field is not read
         if released.any():
             zm = np.where(released, edge + side * out * 2.0 * KINK_TOL, point.z)
-            model = _Evaluation(point.theta, zm, np.where(y == 1, link.log_cdf(zm),
-                                                          link.log_sf(zm)), point.loglik)
+            model = _Evaluation(point.theta, zm, link.log_terms(zm, y), point.loglik)
         face = _face_step(xt, y, link, point, model, held, edge, opts)
         if face is None:
             return None

@@ -161,7 +161,6 @@ def grid_mle(ds: Dataset, link: LinkFamily,
         raise PreconditionError("invalid bounds")
     xbar = ds.x.mean(axis=0)
     xt = np.column_stack([np.ones(ds.n), ds.x - xbar])
-    y1 = ds.y == 1
     nparam = ds.d + 1
     centers = np.full(nparam, 0.5 * (lo + hi))
     width = hi - lo
@@ -173,7 +172,7 @@ def grid_mle(ds: Dataset, link: LinkFamily,
         combos = np.stack([m.ravel() for m in mesh], axis=1)
         z = combos @ xt.T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ll = np.where(y1, link.log_cdf(z), link.log_sf(z)).sum(axis=1)
+            ll = link.log_terms(z, ds.y).sum(axis=1)
         best = combos[int(np.argmax(ll))]
         step = width / (points - 1)
         if np.any(best <= lo + step) or np.any(best >= hi - step):

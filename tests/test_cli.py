@@ -26,16 +26,18 @@ OFFSET_OVERLAPPING = DATA / "offset_overlapping_d2.csv"
 # support, and cauchit's slope has the wrong sign
 SIGN_WITNESS = DATA / "sign_witness_d1.csv"
 
-# `binreg verify --trials 40 --seed 7` as written once uniform fits that end
-# on a kink of the support were certified; a change that moves verify
-# outputs on purpose regenerates this file and says so
+# `binreg verify --trials 40 --seed 7` as written once logit's log forms
+# dropped np.logaddexp (only the worst_slack of the SignMatch logit d=1 and
+# AcuteAngle logit d=2 and d=3 rows moved, in the last digits); a change that
+# moves verify outputs on purpose regenerates this file and says so
 VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 
 # `binreg fit` with and without --force for every link on three tests/data
 # CSVs and one simulated overlapping set (``fit_golden_lines``), as written
-# once strictly separated fits marched from the start without Newton (only
-# the separated_pivot_livelock.csv --force lines moved); regenerated only by
-# a change that moves fit outputs on purpose
+# once logit's log forms dropped np.logaddexp (only the logit --force lines
+# of the two quasi_separated_tie CSVs and both overlapping_n400_d3_seed3.csv
+# logit lines moved); regenerated only by a change that moves fit outputs on
+# purpose
 FIT_GOLDEN = DATA / "fit_golden.json"
 GOLDEN_CSVS = ("quasi_separated_tie.csv", "quasi_separated_tie_pivots.csv",
                "separated_pivot_livelock.csv")

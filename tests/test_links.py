@@ -1,7 +1,9 @@
 import math
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from binreg import (GridSpec, LinkFamily, OutOfRange, certify_log_concavity,
                     get_link)
@@ -73,6 +75,44 @@ class TestLogForms:
         # far below one ulp of 800, so -800.0 is the correctly rounded result
         assert float(get_link("logit").log_cdf(-800.0)) == -800.0
 
+    def test_logit_log_forms_within_one_ulp(self):
+        # log G(z) = -log(1 + exp(-z)) to 400 digits, enough to keep
+        # exp(-750) next to 1; log(1 - G(z)) = log G(-z) and
+        # log g(z) = log G(z) + log G(-z)
+        ctx = Context(prec=400, Emax=10**7, Emin=-10**7)
+
+        def log_g(v):
+            return -ctx.ln(ctx.add(1, ctx.exp(ctx.minus(Decimal(v)))))
+
+        rng = np.random.default_rng(17)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7,
+                   709.78, -709.78, 745.0, -745.0, 1e5, -1e5]
+        z = np.concatenate([special, rng.normal(scale=5.0, size=60),
+                            rng.uniform(-750.0, 750.0, size=60),
+                            np.exp(rng.uniform(math.log(1e-300), math.log(1e5), size=60))
+                            * rng.choice([-1.0, 1.0], size=60)])
+        cdf = [log_g(v) for v in z.tolist()]
+        sf = [log_g(-v) for v in z.tolist()]
+        link = get_link("logit")
+        for got, want in [(link.log_cdf(z), cdf), (link.log_sf(z), sf),
+                          (link.log_pdf(z), [a + b for a, b in zip(cdf, sf)])]:
+            # float() rounds the reference correctly; on normal-range
+            # outputs the result is that float or one of its neighbours
+            want = np.array([float(w) for w in want])
+            normal = np.abs(want) >= np.finfo(float).tiny
+            assert normal.sum() > 0.9 * z.size
+            steps = np.abs(got[normal].view(np.int64) - want[normal].view(np.int64))
+            assert steps.max() <= 1
+
+    def test_logit_log_forms_at_infinity_and_nan(self):
+        link = get_link("logit")
+        z = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(all="raise"):
+            cdf, sf, pdf = link.log_cdf(z), link.log_sf(z), link.log_pdf(z)
+        assert cdf[:2].tolist() == [0.0, -np.inf] and np.isnan(cdf[2])
+        assert sf[:2].tolist() == [-np.inf, 0.0] and np.isnan(sf[2])
+        assert pdf[:2].tolist() == [-np.inf, -np.inf] and np.isnan(pdf[2])
+
     def test_uniform_outside_support(self):
         link = get_link("uniform")
         assert float(link.log_cdf(-0.5)) == -math.inf
@@ -99,6 +139,57 @@ class TestLogForms:
         mask = sf > 1e-8
         err = np.abs(np.exp(lsf[mask]) - sf[mask])
         assert np.all(err <= 1e-12 * sf[mask] + 5e-16)
+
+
+def special_and_random_values(seed):
+    """Signed zeros, infinities, NaN, the exp underflow edge, subnormals and
+    a wide random sample."""
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+               5e-324, -5e-324, 1e-310, -1e-310, 0.5, 1.0, 1.5, -0.5, 1e308, -1e308]
+    return np.concatenate([special, rng.normal(scale=3.0, size=3000),
+                           rng.uniform(-800.0, 800.0, size=3000),
+                           rng.uniform(-0.5, 1.5, size=1000),
+                           np.ldexp(1.0, rng.integers(-1074, 1024, size=1000))
+                           * rng.choice([-1.0, 1.0], size=1000)])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLogTerms:
+    """``log_terms`` is the two-branch form np.where(y == 1, log_cdf,
+    log_sf), bit for bit, however a link computes it."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_matches_the_two_branch_form(self, name):
+        link = get_link(name)
+        values = special_and_random_values(19)
+        m = values.size
+        # every value with both labels, then with random labels
+        z = np.tile(values, 3)
+        labels = np.concatenate([np.zeros(m, int), np.ones(m, int),
+                                 np.random.default_rng(23).integers(0, 2, size=m)])
+        stacked = np.stack([z, -z[::-1], np.roll(z, 7)])
+        with np.errstate(all="ignore"):
+            for y in (labels, labels.astype(bool)):
+                for zz in (z, stacked):
+                    want = np.where(y == 1, link.log_cdf(zz), link.log_sf(zz))
+                    assert same_bits(link.log_terms(zz, y), want)
+
+    def test_probit_log_sf_is_the_removed_form(self):
+        # the form Probit.log_sf had before it was inherited as log_cdf(-z)
+        z = special_and_random_values(29)
+        assert same_bits(get_link("probit").log_sf(z), log_ndtr(-np.asarray(z, dtype=float)))
+
+    def test_cauchit_log_sf_is_the_removed_form(self):
+        # the form Cauchit.log_sf had before it was inherited
+        link = get_link("cauchit")
+        z = special_and_random_values(31)
+        with np.errstate(all="ignore"):
+            assert same_bits(link.log_sf(z), link.log_cdf(-np.asarray(z, dtype=float)))
 
 
 class TestDensity:

@@ -696,28 +696,30 @@ class TestCarriedEvaluation:
         assert statuses == {CONVERGED, DIVERGED, NOT_UNIQUE}
 
     def test_link_is_evaluated_once_per_iterate(self, monkeypatch):
-        # probit, because logit's log_pdf calls its log_cdf; on this large
-        # overlapping set step 1 is accepted in every Newton iteration, so
-        # each iterate costs one log_cdf (its log likelihood) and one
+        # on this large overlapping set step 1 is accepted in every Newton
+        # iteration, so each iterate costs one log_cdf (its log likelihood,
+        # one call at +-z for these symmetric links, log_sf never) and one
         # log_pdf (its score and Hessian), plus the starting point's
-        link = get_link("probit")
-        rng = np.random.default_rng(8)
-        n = 20_000
-        x = rng.normal(size=(n, 3))
-        y = (rng.random(n) < link.cdf(0.3 + x @ np.array([0.8, -0.5, 0.2]))).astype(int)
-        ds = dataset_from_arrays(x, y)
-        calls = {"log_cdf": 0, "log_pdf": 0}
-        for method in calls:
-            original = getattr(link, method)
+        for name in ("probit", "logit"):
+            link = get_link(name)
+            rng = np.random.default_rng(8)
+            n = 20_000
+            x = rng.normal(size=(n, 3))
+            y = (rng.random(n) < link.cdf(0.3 + x @ np.array([0.8, -0.5, 0.2]))).astype(int)
+            ds = dataset_from_arrays(x, y)
+            calls = {"log_cdf": 0, "log_sf": 0, "log_pdf": 0}
+            for method in calls:
+                original = getattr(link, method)
 
-            def counting(z, method=method, original=original):
-                calls[method] += 1
-                return original(z)
+                def counting(z, method=method, original=original):
+                    calls[method] += 1
+                    return original(z)
 
-            monkeypatch.setattr(link, method, counting)
-        fr = fit(ds, link)
-        assert fr.status == CONVERGED and fr.iterations >= 4
-        assert calls == {"log_cdf": fr.iterations + 1, "log_pdf": fr.iterations + 1}
+                monkeypatch.setattr(link, method, counting)
+            fr = fit(ds, link)
+            assert fr.status == CONVERGED and fr.iterations >= 4
+            assert calls == {"log_cdf": fr.iterations + 1, "log_sf": 0,
+                             "log_pdf": fr.iterations + 1}
 
 
 UNIFORM = get_link("uniform")
