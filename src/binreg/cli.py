@@ -14,10 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import BinregError, _with_intercept, read_csv
-# extended_design is not called here; the benchmark's traced run
-# (perfbench/spans.py) wraps binreg.cli.extended_design by name
-from .core import extended_design  # noqa: F401
+from .core import BinregError, extended_design, read_csv
 from .links import LINKS, get_link
 from .mle import FitOptions, fit
 from .overlap import SEPARATED, cone_overlap, scalar_overlap
@@ -68,8 +65,10 @@ def _emit(payload: dict, plain: bool, json_out: Optional[str]) -> None:
 
 def _overlap_report(ds, method: str):
     # "auto" and "cone" are one decision: cone_overlap answers d = 1 itself
-    # when its program fails
-    return scalar_overlap(ds) if method == "scalar" else cone_overlap(_with_intercept(ds.x), ds.y)
+    # when its program fails; its report carries the design on to fit
+    if method == "scalar":
+        return scalar_overlap(ds)
+    return cone_overlap(extended_design(ds), ds.y)
 
 
 def _report_dict(report) -> dict:

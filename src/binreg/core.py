@@ -1,10 +1,12 @@
 """Data model for binary regression: validated datasets, group statistics,
-and the intercept-extended design matrix with a numerical rank check.
+and the standardized, intercept-extended design matrix with a numerical
+rank check.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,18 +70,53 @@ class GroupStats:
     delta: np.ndarray
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Predictors with a leading column of ones plus a numerical rank verdict.
+# Singular values of the standardized design below RANK_TOLERANCE times the
+# largest count as zero.
+RANK_TOLERANCE = 1e-10
 
-    rank_ok is True iff the numerical rank equals d+1 (which requires
-    n >= d+1). Rank deficiency is reported, never raised.
+
+@dataclass(frozen=True, eq=False)
+class DesignMatrix:
+    """The one design of a dataset: ``xt = [1 | (x - center) / spread]``, the
+    intercept column followed by the predictors standardized column by
+    column, with the raw predictors ``x`` it was built from.
+
+    The overlap verdict, the rank check and Newton all run on ``xt``; the
+    verdict and the rank are invariant under the affine map, and offsets and
+    scales no longer reach the solvers. ``to_raw`` and ``to_standardized``
+    map a coefficient vector between the two coordinates. The singular
+    values are computed on first read, so a caller that never asks for the
+    rank takes no SVD. rank_ok is True iff the numerical rank equals d+1
+    (which requires n >= d+1). Rank deficiency is reported, never raised.
     """
 
+    x: np.ndarray
     xt: np.ndarray
-    rank_ok: bool
-    rank_tolerance: float
-    rank: int
+    center: np.ndarray
+    spread: np.ndarray
+
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.xt, compute_uv=False)
+
+    @property
+    def rank(self) -> int:
+        sv = self.singular_values
+        return int(np.sum(sv > RANK_TOLERANCE * sv[0])) if sv[0] > 0 else 0
+
+    @property
+    def rank_ok(self) -> bool:
+        return self.rank == self.xt.shape[1]
+
+    def to_raw(self, theta: np.ndarray) -> np.ndarray:
+        """theta0 + theta'[1 | (x - center) / spread] written as alpha + beta'x:
+        the vector (alpha, beta)."""
+        slope = theta[1:] / self.spread
+        return np.concatenate([[theta[0] - self.center @ slope], slope])
+
+    def to_standardized(self, gamma: np.ndarray) -> np.ndarray:
+        """gamma0 + gamma1'x written in the standardized predictors."""
+        return np.concatenate([[gamma[0] + gamma[1:] @ self.center], self.spread * gamma[1:]])
 
 
 Row = Tuple[Union[float, Sequence[float], np.ndarray], Union[int, float]]
@@ -193,23 +230,17 @@ def _standardize(x: np.ndarray):
     return xs, center, spread
 
 
-def _numerical_rank(xt: np.ndarray, rank_tolerance: float) -> int:
-    """Count singular values above rank_tolerance times the largest."""
-    sv = np.linalg.svd(xt, compute_uv=False)
-    return int(np.sum(sv > rank_tolerance * sv[0])) if sv[0] > 0 else 0
+def extended_design(ds: Dataset) -> DesignMatrix:
+    """Standardize the predictors and prepend the intercept column.
 
-
-def extended_design(ds: Dataset, rank_tolerance: float = 1e-10) -> DesignMatrix:
-    """Prepend the intercept column and compute the numerical rank via SVD.
-
-    Singular values below rank_tolerance times the largest singular value
-    count as zero. Callers decide what to do about rank deficiency.
+    The rank is computed on first read of ``rank``, ``rank_ok`` or
+    ``singular_values``; callers decide what to do about rank deficiency.
     """
-    xt = _with_intercept(ds.x)
-    rank = _numerical_rank(xt, rank_tolerance)
-    xt.setflags(write=False)
-    return DesignMatrix(xt=xt, rank_ok=(rank == ds.d + 1), rank_tolerance=rank_tolerance,
-                        rank=rank)
+    xs, center, spread = _standardize(ds.x)
+    xt = _with_intercept(xs)
+    for arr in (xt, center, spread):
+        arr.setflags(write=False)
+    return DesignMatrix(x=ds.x, xt=xt, center=center, spread=spread)
 
 
 def _parse_cells(reader, header: Sequence[str], y_col: int) -> np.ndarray:

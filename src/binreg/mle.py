@@ -52,7 +52,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BinregError, Dataset, _numerical_rank, _standardize, _with_intercept
+from .core import RANK_TOLERANCE, BinregError, Dataset, _with_intercept, extended_design
 from .links import LinkFamily
 from .overlap import OVERLAP, SEPARATED, OverlapReport, cone_overlap
 # separating_direction is not called here; the benchmark's traced run
@@ -92,10 +92,9 @@ class FitOptions:
     max_halvings: int = 50
     starts: int = 7                  # multi-start count for non-log-concave links
     ridge: float = 1e-10             # Hessian eigenvalue floor factor
-    rank_tolerance: float = 1e-10
 
     def validate(self) -> None:
-        if self.tol <= 0 or self.diverge_bound <= 0 or self.rank_tolerance <= 0:
+        if self.tol <= 0 or self.diverge_bound <= 0:
             raise ConfigError("tolerances must be positive")
         if self.max_iter <= 0 or self.max_halvings <= 0 or self.starts <= 0:
             raise ConfigError("iteration counts must be positive")
@@ -390,7 +389,7 @@ def _face_step(xt, y, link, point: _Evaluation, model: _Evaluation, held, edge, 
     p = xt.shape[1]
     if held.any():
         u, s, vt = np.linalg.svd(xt[held], full_matrices=True)
-        r = int(np.sum(s > opts.rank_tolerance * s[0]))
+        r = int(np.sum(s > RANK_TOLERANCE * s[0]))
         onto = vt[:r].T @ ((u[:, :r].T @ (edge - point.z)[held]) / s[:r])
         null = vt[r:].T
     else:
@@ -523,19 +522,6 @@ def _newton_then_kink(xt, y, link, theta, opts: FitOptions, trace: _Trace):
     return point, flag, None
 
 
-def _to_raw(theta_std: np.ndarray, center: np.ndarray, spread: np.ndarray) -> Parameters:
-    beta = theta_std[1:] / spread
-    alpha = float(theta_std[0] - center @ beta)
-    beta = np.array(beta)
-    beta.setflags(write=False)
-    return Parameters(alpha=alpha, beta=beta)
-
-
-def _to_standardized(gamma: np.ndarray, center: np.ndarray, spread: np.ndarray) -> np.ndarray:
-    # gamma0 + gamma1'x written in the standardized predictors (x - center) / spread
-    return np.concatenate([[gamma[0] + gamma[1:] @ center], spread * gamma[1:]])
-
-
 def _multistart_points(theta0: np.ndarray, count: int) -> list:
     pts = [theta0.copy()]
     dim = theta0.size
@@ -558,10 +544,14 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
 
     ``overlap`` is a report the caller already holds for ``ds`` (from
     ``scalar_overlap``, or ``cone_overlap`` on ``extended_design(ds)``); its
-    verdict is used instead of solving the cone program again. Without one,
-    fit makes that same ``cone_overlap`` call. On separated data it follows
-    the report's direction, or runs plain Newton with a caveat when the
-    report has none (cone margin positive but below tolerance). Along the
+    verdict is used instead of solving the cone program again, and its
+    ``report.design``, when it has one, is the standardized design Newton
+    runs on and whose rank is checked. Otherwise fit builds that design once
+    with ``extended_design(ds)`` and, without a report, makes the same
+    ``cone_overlap`` call on it. On separated data it follows the report's
+    direction (raw predictor coordinates, mapped onto the design with
+    ``to_standardized``), or runs plain Newton with a caveat when the report
+    has none (cone margin positive but below tolerance). Along the
     direction, a strictly separated set is marched from the starting point
     with no Newton iteration; a set with tied rows (a signed margin of at
     most ``STRICT_MARGIN`` times the largest) runs up to 25 Newton
@@ -589,20 +579,20 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     opts = options or FitOptions()
     opts.validate()
 
-    xs, center, spread = _standardize(ds.x)
-    xt = _with_intercept(xs)
+    report = overlap
+    dm = extended_design(ds) if report is None or report.design is None else report.design
+    xt = dm.xt
     y = ds.y
-    rank_ok = _numerical_rank(xt, opts.rank_tolerance) == ds.d + 1
+    rank_ok = dm.rank_ok
 
     p_hat = ds.n1 / ds.n
     theta0 = np.zeros(ds.d + 1)
     theta0[0] = link.inverse(p_hat)
 
-    report = overlap
     lp_caveat = None
     if rank_ok and report is None:
         try:
-            report = cone_overlap(_with_intercept(ds.x), y)
+            report = cone_overlap(dm, y)
         except LPNumericalFailure as exc:
             # d > 1 (at d = 1 cone_overlap falls back to the interval test):
             # proceed as if overlapping, and say so; Newton's own divergence
@@ -627,7 +617,7 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             status = _STATUS[flag]
             caveat = "overlap margin below tolerance; treat the fit as fragile"
         else:
-            gamma = _to_standardized(report.direction, center, spread)
+            gamma = dm.to_standardized(report.direction)
             margins = np.where(y == 1, 1.0, -1.0) * (xt @ gamma)
             if margins.min() > STRICT_MARGIN * np.max(np.abs(margins)):
                 # strict separation: the supremum 0 has no finite part for
@@ -669,8 +659,11 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             caveat = (f"maximizer at a kink: {held} {'row' if held == 1 else 'rows'} held on "
                       f"the edge of the support, multipliers certified in [0, 1]")
 
+    raw = dm.to_raw(point.theta)
+    beta = raw[1:]
+    beta.setflags(write=False)
     return FitResult(
-        params=_to_raw(point.theta, center, spread),
+        params=Parameters(alpha=float(raw[0]), beta=beta),
         loglik=point.loglik,
         score_norm=score_norm,
         iterations=trace.iterations,

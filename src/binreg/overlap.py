@@ -9,9 +9,10 @@ groups overlap enough for a finite, unique likelihood maximizer to exist:
   open convex cones generated by the intercept-extended predictors of each
   group intersect. This is the authoritative test in any dimension, and
   the one decision ``fit``, the CLI and the suite generator all make. It
-  is posed on ``fit``'s standardized design (the verdict is affine-
-  invariant, Albert & Anderson 1984) and, with one predictor, falls back
-  to the interval test when the program fails numerically.
+  is posed on the dataset's one standardized design, ``extended_design``
+  (the verdict is affine-invariant, Albert & Anderson 1984), which every
+  report it returns carries on to ``fit``; with one predictor it falls
+  back to the interval test when the program fails numerically.
 
 Boundary ties (one group's range touching the other's at a single point)
 are quasi-separation: the likelihood supremum is approached only as the
@@ -20,12 +21,12 @@ slope diverges, so both routes classify them Separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import BinregError, Dataset, DesignMatrix, _standardize, _with_intercept
+from .core import BinregError, Dataset, DesignMatrix
 from .simplex import LPNumericalFailure, solve_lp
 
 OVERLAP = "Overlap"
@@ -76,10 +77,13 @@ class OverlapReport:
     certificate: Optional[ConeCertificate] = None
     direction_hint: Optional[int] = None
     margin: Optional[float] = None
-    # Separated only: a weakly separating gamma in the coordinates of the
-    # design the report was computed on; None when the cone margin t* is
-    # positive but at most T_MIN
+    # Separated only: a weakly separating gamma = (gamma0, gamma1) in raw
+    # predictor coordinates, gamma0 + gamma1'x; None when the cone margin t*
+    # is positive but at most T_MIN
     direction: Optional[np.ndarray] = None
+    # the design the verdict was decided on (every cone_overlap report), so
+    # that fit reuses it instead of standardizing the predictors again
+    design: Optional[DesignMatrix] = field(default=None, repr=False, compare=False)
 
 
 def _direction_hint(bounds: ScalarBounds) -> Optional[int]:
@@ -154,36 +158,20 @@ def _cone_program(xp: np.ndarray, xn: np.ndarray):
     return result
 
 
-def _direction(result, center: np.ndarray, spread: np.ndarray) -> Optional[np.ndarray]:
-    # the negated multipliers separate exactly when t* <= 0 or the program
-    # is infeasible; they are posed on the standardized design, so write
-    # gamma0 + slope'(x - center) / spread in the caller's predictors x
-    if result.status == "optimal" and result.x[-2] - result.x[-1] > 0.0:
-        return None
-    gamma = -result.duals[:spread.size + 1]
-    slope = gamma[1:] / spread
-    return np.concatenate([[gamma[0] - center @ slope], slope])
-
-
-def _cone_report(xt: np.ndarray, y: np.ndarray) -> OverlapReport:
-    xs, center, spread = _standardize(xt[:, 1:])
-    xs = _with_intercept(xs)
-    xp = np.compress(y == 1, xs, axis=0)  # several times faster than xs[y == 1]
-    xn = np.compress(y == 0, xs, axis=0)
+def _cone_report(dm: DesignMatrix, y: np.ndarray) -> OverlapReport:
+    xp = np.compress(y == 1, dm.xt, axis=0)  # several times faster than xt[y == 1]
+    xn = np.compress(y == 0, dm.xt, axis=0)
     result = _cone_program(xp, xn)
     # intercept plus one predictor: the sign of the diverging slope
-    hint = _direction_hint(_bounds(xt[:, 1], y)) if xt.shape[1] == 2 else None
+    hint = _direction_hint(_bounds(dm.x[:, 0], y)) if dm.x.shape[1] == 1 else None
 
-    if result.status == "infeasible":
-        return OverlapReport(verdict=SEPARATED, method=METHOD_CONE,
-                             direction_hint=hint, margin=0.0,
-                             direction=_direction(result, center, spread))
-
-    t_star = float(result.x[-2] - result.x[-1])
+    t_star = 0.0 if result.status == "infeasible" else float(result.x[-2] - result.x[-1])
     if t_star <= T_MIN:
-        return OverlapReport(verdict=SEPARATED, method=METHOD_CONE,
-                             direction_hint=hint, margin=max(t_star, 0.0),
-                             direction=_direction(result, center, spread))
+        # the negated multipliers separate exactly when t* <= 0 or the
+        # program is infeasible; they are posed on the standardized design
+        direction = dm.to_raw(-result.duals[:dm.xt.shape[1]]) if t_star <= 0.0 else None
+        return OverlapReport(verdict=SEPARATED, method=METHOD_CONE, direction_hint=hint,
+                             margin=max(t_star, 0.0), direction=direction, design=dm)
 
     npos = xp.shape[0]
     weights_pos = result.x[:npos] + t_star
@@ -195,7 +183,7 @@ def _cone_report(xt: np.ndarray, y: np.ndarray) -> OverlapReport:
     cert = ConeCertificate(weights_pos=weights_pos, weights_neg=weights_neg,
                            margin=t_star, residual=residual)
     return OverlapReport(verdict=OVERLAP, method=METHOD_CONE,
-                         certificate=cert, margin=t_star)
+                         certificate=cert, margin=t_star, design=dm)
 
 
 def cone_overlap(dm: DesignMatrix, y: np.ndarray) -> OverlapReport:
@@ -203,38 +191,39 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray) -> OverlapReport:
     intersect, by maximizing the smallest combination weight.
 
     The program is: maximize t subject to the y=1 and y=0 combinations being
-    equal, all weights >= t, and weights summing to one, on ``dm`` with its
-    predictor columns standardized as ``fit`` standardizes them. Overlap
-    requires the optimum to exceed ``T_MIN`` strictly and the certificate
-    residual to be at most ``RESIDUAL_MAX``; an optimum of zero is
-    quasi-separation and reported Separated. A Separated report with
-    t* <= 0 carries ``separating_direction``'s gamma in ``dm``'s coordinates.
+    equal, all weights >= t, and weights summing to one, on the standardized
+    design ``dm.xt``. Overlap requires the optimum to exceed ``T_MIN``
+    strictly and the certificate residual to be at most ``RESIDUAL_MAX``; an
+    optimum of zero is quasi-separation and reported Separated. A Separated
+    report with t* <= 0 carries ``separating_direction``'s gamma in raw
+    predictor coordinates. Every report carries ``dm`` as ``design``.
 
     Raises LPNumericalFailure if the program fails numerically (pivot
     budget, unbounded, residual), except with one predictor, where the
-    interval test's report is returned instead.
+    interval test's report on the raw predictor is returned instead.
     """
     y = np.asarray(y)
-    xt = np.asarray(getattr(dm, "xt", dm), dtype=float)
-    if np.all(xt == xt[0]):
-        return OverlapReport(verdict=DEGENERATE, method=METHOD_CONE)
+    x = dm.x
+    if np.all(x == x[0]):
+        return OverlapReport(verdict=DEGENERATE, method=METHOD_CONE, design=dm)
     try:
-        return _cone_report(xt, y)
+        return _cone_report(dm, y)
     except LPNumericalFailure:
-        if xt.shape[1] != 2:
+        if x.shape[1] != 1:
             raise
-        return _interval_report(_bounds(xt[:, 1], y))
+        return replace(_interval_report(_bounds(x[:, 0], y)), design=dm)
 
 
 def separating_direction(dm: DesignMatrix, y: np.ndarray) -> Optional[np.ndarray]:
-    """Find gamma with gamma'x~ >= 0 on y=1 rows and <= 0 on y=0 rows,
-    strict somewhere, by reading it off the cone program's duals.
+    """Find gamma with gamma0 + gamma1'x >= 0 on y=1 rows and <= 0 on y=0
+    rows, strict somewhere, by reading it off the cone program's duals.
 
-    By LP duality the optimal multipliers, negated, satisfy gamma'x~ >= -t*
-    on y=1 rows and <= t* on y=0 rows, so they separate exactly when the
-    margin t* <= 0 (and then the slope block is nonzero). An infeasible
-    program gives a strictly separating gamma from its phase-1 multipliers
-    (Farkas' lemma).
+    By LP duality the optimal multipliers, negated, satisfy g'x~ >= -t* on
+    the standardized y=1 rows x~ of ``dm.xt`` and <= t* on its y=0 rows, so
+    they separate exactly when the margin t* <= 0 (and then the slope block
+    is nonzero). An infeasible program gives a strictly separating g from
+    its phase-1 multipliers (Farkas' lemma). The returned gamma is g written
+    in raw predictor coordinates (``dm.to_raw``).
 
     Returns None when t* > 0 (the groups overlap, perhaps by less than the
     cone tolerance; all rows equal counts as overlap). For separated data

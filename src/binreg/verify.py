@@ -195,13 +195,14 @@ def _derived_seed(seed: int, trial: int) -> int:
 
 def gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500) -> Dataset:
     """Random dataset rejected-and-retried until the cone test says Overlap
-    (and the extended design has full rank)."""
+    (and the standardized extended design has full rank)."""
     return _gen_overlapping(n, d, seed, max_tries)[0]
 
 
 def _gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500):
     """``gen_overlapping``'s dataset and the Overlap report that accepted it,
-    which a suite trial passes to ``fit`` so the cone program is solved once."""
+    which a suite trial passes to ``fit`` so the cone program is solved and
+    the design built and ranked once (the report carries the design)."""
     if n < d + 2:
         raise GenerationFailure(f"need n >= d+2 to overlap, got n={n}, d={d}")
     rng = CounterRng(seed)

@@ -32,15 +32,18 @@ SIGN_WITNESS = DATA / "sign_witness_d1.csv"
 # moves verify outputs on purpose regenerates this file and says so
 VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 
-# `binreg fit` with and without --force for every link on three tests/data
+# `binreg fit` with and without --force for every link on five tests/data
 # CSVs and one simulated overlapping set (``fit_golden_lines``), as written
 # once logit's log forms dropped np.logaddexp (only the logit --force lines
 # of the two quasi_separated_tie CSVs and both overlapping_n400_d3_seed3.csv
-# logit lines moved); regenerated only by a change that moves fit outputs on
-# purpose
+# logit lines moved); the two offset CSVs' lines were written by the code
+# that still standardized the predictors separately for the overlap verdict
+# and the fit, and pin that sharing one design moved nothing. Regenerated
+# only by a change that moves fit outputs on purpose
 FIT_GOLDEN = DATA / "fit_golden.json"
 GOLDEN_CSVS = ("quasi_separated_tie.csv", "quasi_separated_tie_pivots.csv",
-               "separated_pivot_livelock.csv")
+               "separated_pivot_livelock.csv", "offset_separated_d1.csv",
+               "offset_overlapping_d2.csv")
 
 
 BALANCED = "x,y\n0,1\n1,0\n2,0\n3,1\n"
@@ -193,6 +196,61 @@ class TestFitCommand:
         _, first, _ = run_cli(capsys, "fit", "--csv", csvs["olap"])
         _, second, _ = run_cli(capsys, "fit", "--csv", csvs["olap"])
         assert first == second
+
+
+class TestOneDesignPerDataset:
+    """The overlap verdict, the rank check and Newton share one standardized
+    design per dataset: ``extended_design`` standardizes the predictors once
+    and takes the rank SVD only when the rank is read."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import binreg.core
+        import binreg.overlap
+        import binreg.verify
+        counts = {"standardize": 0, "svd": 0, "datasets": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every module that holds a standardization of its own is counted
+        for module in (binreg.core, binreg.overlap, binreg.mle):
+            if hasattr(module, "_standardize"):
+                monkeypatch.setattr(module, "_standardize",
+                                    counted("standardize", module._standardize))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(binreg.verify, "dataset_from_arrays",
+                            counted("datasets", binreg.verify.dataset_from_arrays))
+        return counts
+
+    @pytest.mark.parametrize("argv", [["--link", "logit"], ["--link", "probit", "--force"]])
+    @pytest.mark.parametrize("path", [OFFSET_OVERLAPPING, OFFSET_SEPARATED, LIVELOCK])
+    def test_fit_standardizes_once_and_ranks_at_most_once(self, capsys, counts, path, argv):
+        code, _, _ = run_cli(capsys, "fit", "--csv", str(path), *argv)
+        assert code in (0, 2)
+        assert counts["standardize"] == 1
+        assert counts["svd"] <= 1
+
+    @pytest.mark.parametrize("method", ["auto", "cone"])
+    def test_overlap_takes_no_svd(self, capsys, counts, method):
+        for path in (OFFSET_OVERLAPPING, OFFSET_SEPARATED, LIVELOCK):
+            run_cli(capsys, "overlap", "--csv", str(path), "--method", method)
+        assert counts["standardize"] == 3
+        assert counts["svd"] == 0
+
+    def test_suite_trial_builds_one_design_per_generated_dataset(self, counts):
+        from binreg import get_link
+        from binreg.mle import fit
+        from binreg.verify import _gen_overlapping
+        for n, d, seed in [(6, 3, 11), (12, 2, 4), (40, 1, 7), (9, 3, 2)]:
+            ds, report = _gen_overlapping(n, d, seed)
+            fit(ds, get_link("logit"), overlap=report)
+        assert counts["datasets"] >= 4
+        assert counts["standardize"] == counts["datasets"]
+        assert counts["svd"] == counts["datasets"]
 
 
 class TestOverlapCommand:

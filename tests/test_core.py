@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from binreg import (CsvFormatError, DimensionMismatch, EmptyGroup,
                     dataset_from_arrays, extended_design, gen_gaussian,
                     gen_overlapping, gen_separated, group_stats, read_csv)
 from binreg.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestBuildDataset:
@@ -149,6 +152,49 @@ class TestExtendedDesign:
         perm = rng.permutation(n)
         ds_perm = dataset_from_arrays(x[perm], y[perm])
         assert extended_design(ds).rank_ok == extended_design(ds_perm).rank_ok
+
+    @pytest.mark.parametrize("name", ["offset_overlapping_d2.csv", "offset_separated_d1.csv"])
+    def test_offset_fixtures_have_full_rank(self, name):
+        # x -> 0.01 x + 1e5 drowns the predictors in the intercept column of
+        # the raw [1 | x] (rank 2 of 3 and 1 of 2); the standardized design
+        # that the overlap verdict and the fit share has full rank
+        ds = read_csv(DATA / name)
+        dm = extended_design(ds)
+        assert dm.rank == ds.d + 1
+        assert dm.rank_ok
+
+    @pytest.mark.parametrize("transform", [lambda col: col + 1e7, lambda col: col * 1e6,
+                                           lambda col: col * 1e-6],
+                             ids=["shift 1e7", "scale 1e6", "scale 1e-6"])
+    def test_rank_invariant_under_shift_and_scale_of_a_column(self, transform):
+        # small integers and n = 8, so that the shifted and scaled columns and
+        # their means round exactly and the collinear cases stay collinear
+        rng = np.random.default_rng(3)
+        collinear = rng.integers(-8, 9, size=(8, 2)).astype(float)
+        collinear[:, 1] = 2.0 * collinear[:, 0]
+        cases = [gen_overlapping(12, 2, 3), gen_overlapping(20, 3, 4),
+                 dataset_from_arrays(collinear, [0, 1] * 4),
+                 build_dataset([((1, 2), 0), ((2, 4), 1), ((3, 6), 0)]),
+                 build_dataset([((1, 2), 0), ((2, 1), 1)]),
+                 dataset_from_arrays(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]]), [0, 1, 1])]
+        verdicts = []
+        for ds in cases:
+            want = extended_design(ds).rank_ok
+            verdicts.append(want)
+            for j in range(ds.d):
+                x = ds.x.copy()
+                x[:, j] = transform(x[:, j])
+                assert extended_design(dataset_from_arrays(x, ds.y)).rank_ok == want, (ds.x, j)
+        assert verdicts == [True, True, False, False, False, False]
+
+    def test_coordinate_maps_invert_each_other(self):
+        ds = read_csv(DATA / "offset_overlapping_d2.csv")
+        dm = extended_design(ds)
+        theta = np.array([0.3, -1.5, 2.0])
+        raw = dm.to_raw(theta)
+        # alpha + beta'x on the raw rows is theta on the standardized rows
+        np.testing.assert_allclose(raw[0] + ds.x @ raw[1:], dm.xt @ theta, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(dm.to_standardized(raw), theta, rtol=1e-9, atol=1e-6)
 
 
 class TestCsv:

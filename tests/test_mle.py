@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import binreg.mle as mle
-from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, ConfigError, FitOptions,
+from binreg import (CONVERGED, DIVERGED, NOT_UNIQUE, ConfigError, DesignMatrix, FitOptions,
                     Parameters, build_dataset, cone_overlap, dataset_from_arrays,
                     extended_design, fit, gen_overlapping, gen_separated, get_link, grid_mle,
                     group_stats, hessian, log_likelihood, read_csv, scalar_overlap,
@@ -516,8 +516,7 @@ class TestBatchedLineSearch:
         x = rng.uniform(-2, 2, size=(n, d))
         y = rng.integers(0, 2, size=n)
         y[:2] = [0, 1]
-        xs = mle._standardize(x)[0]
-        return mle._with_intercept(xs), y, rng
+        return extended_design(make_ds(x, y)).xt, y, rng
 
     def compare(self, xt, y, link, theta, f, direction, slope, opts):
         got = mle._armijo_step(xt, y, link, theta, f, direction, slope, opts)
@@ -566,7 +565,7 @@ class TestBatchedLineSearch:
         for seed in range(12):
             ds = gen_overlapping(int(np.random.default_rng(seed).integers(10, 41)),
                                  2 + seed % 2, seed)
-            xt = mle._with_intercept(mle._standardize(ds.x)[0])
+            xt = extended_design(ds).xt
             theta = np.zeros(xt.shape[1])
             theta[0] = link.inverse(ds.n1 / ds.n)
             for point in newton_walk(xt, ds.y, link, theta, opts, 100):
@@ -578,7 +577,7 @@ class TestBatchedLineSearch:
         link = get_link("uniform")
         opts = FitOptions(max_halvings=max_halvings)
         ds = gen_overlapping(30, 2, 4)
-        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        xt = extended_design(ds).xt
         theta = np.array([0.5, 0.0, 0.0])
         f = mle._loglik(xt, ds.y, link, theta)
         g = mle._derivatives(xt, ds.y, link, theta)[0]
@@ -593,7 +592,7 @@ class TestBatchedLineSearch:
     def test_suite_sized_search_is_one_link_call_after_step_one(self, monkeypatch):
         link = get_link("uniform")
         ds = gen_overlapping(40, 3, 5)
-        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        xt = extended_design(ds).xt
         theta = np.array([0.5, 0.0, 0.0, 0.0])
         f = mle._loglik(xt, ds.y, link, theta)
         g = mle._derivatives(xt, ds.y, link, theta)[0]
@@ -673,20 +672,21 @@ class TestCarriedEvaluation:
                                 (x[:, 0] + np.arange(30) % 3 > 1).astype(int))
 
     def test_fit_reports_a_fresh_evaluation_at_its_iterate(self, monkeypatch):
+        # fit's last to_raw call maps its final iterate to the raw parameters
         returned = []
-        to_raw = mle._to_raw
+        to_raw = DesignMatrix.to_raw
 
-        def capture(theta_std, center, spread):
+        def capture(dm, theta_std):
             returned.append(theta_std)
-            return to_raw(theta_std, center, spread)
+            return to_raw(dm, theta_std)
 
-        monkeypatch.setattr(mle, "_to_raw", capture)
+        monkeypatch.setattr(DesignMatrix, "to_raw", capture)
         statuses = set()
         for name, ds in self.cases():
             link = get_link(name)
             fr = fit(ds, link)
             statuses.add(fr.status)
-            xt = mle._with_intercept(mle._standardize(ds.x)[0])
+            xt = extended_design(ds).xt
             z, terms, loglik = fresh_evaluation(xt, ds.y, link, returned[-1])
             w, dw = two_exp_weights(z, ds.y, link)
             g, H = xt.T @ w, xt.T @ (dw[:, None] * xt)
@@ -727,14 +727,14 @@ UNIFORM = get_link("uniform")
 
 def newton_alone(ds, link, opts=None):
     """The fit as plain Newton from fit's start on fit's standardized
-    design: (last iterate, flag, trace)."""
-    xs, center, spread = mle._standardize(ds.x)
-    xt = mle._with_intercept(xs)
+    design: (last iterate, flag, trace, design)."""
+    dm = extended_design(ds)
+    xt = dm.xt
     theta = np.zeros(ds.d + 1)
     theta[0] = link.inverse(ds.n1 / ds.n)
     trace = mle._Trace()
     point, flag = mle._newton(xt, ds.y, link, theta, opts or FitOptions(), trace)
-    return point, flag, trace, center, spread
+    return point, flag, trace, dm
 
 
 def uniform_stalls(seeds, max_n=40):
@@ -760,7 +760,7 @@ def independent_certificate(ds, fr):
     w = np.zeros(ds.n)
     w[inside & one] = 1.0 / z[inside & one]
     w[inside & ~one] = -1.0 / (1.0 - z[inside & ~one])
-    xt = mle._with_intercept(mle._standardize(ds.x)[0])
+    xt = extended_design(ds).xt
     g = xt.T @ w
     push = xt[held].T * np.where(one, 1.0, -1.0)[held]
     lam = np.linalg.lstsq(push, -g, rcond=None)[0]
@@ -819,10 +819,10 @@ class TestKinkAscent:
 
         monkeypatch.setattr(mle, "_face_step", recording)
         fr = fit(ds, UNIFORM)
-        point, flag, trace, center, spread = newton_alone(ds, UNIFORM)
+        point, flag, trace, dm = newton_alone(ds, UNIFORM)
         assert singular == [True] and flag == "maxiter"
         assert fr.status == "MaxIterations" and fr.caveat is None
-        assert bits(fr.params.beta) == bits(mle._to_raw(point.theta, center, spread).beta)
+        assert bits(fr.params.beta) == bits(dm.to_raw(point.theta)[1:])
         assert bits(fr.loglik) == bits(point.loglik)
         assert (fr.iterations, fr.history) == (trace.iterations, tuple(trace.history))
 
@@ -842,11 +842,11 @@ class TestKinkAscent:
         opts = FitOptions(max_iter=max_iter)
         for ds, _ in uniform_stalls(range(12)):
             fr = fit(ds, UNIFORM, opts)
-            point, flag, trace, center, spread = newton_alone(ds, UNIFORM, opts)
+            point, flag, trace, dm = newton_alone(ds, UNIFORM, opts)
             assert fr.status == mle._STATUS[flag]
-            assert bits(fr.params.alpha) == bits(mle._to_raw(point.theta, center, spread).alpha)
+            assert bits(fr.params.alpha) == bits(dm.to_raw(point.theta)[0])
             assert bits(fr.score_norm) == bits(np.max(np.abs(point.derivatives(
-                mle._with_intercept(mle._standardize(ds.x)[0]), ds.y, UNIFORM)[0])))
+                dm.xt, ds.y, UNIFORM)[0])))
             assert (fr.iterations, fr.history) == (trace.iterations, tuple(trace.history))
 
     def test_unbounded_links_and_other_paths_never_take_over(self, monkeypatch):
@@ -910,14 +910,14 @@ class TestKinkAscent:
 
     def test_a_certificate_below_newtons_best_is_refused(self):
         ds, stalled = next(uniform_stalls(range(60)))
-        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        xt = extended_design(ds).xt
         opts = FitOptions()
         assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, stalled.loglik, opts) is not None
         assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, 0.0, opts) is None
 
     def test_certificate_rejects_a_point_off_the_maximizer(self):
         ds, stalled = next(uniform_stalls(range(60)))
-        xt = mle._with_intercept(mle._standardize(ds.x)[0])
+        xt = extended_design(ds).xt
         cert = mle._kink_certificate(xt, ds.y, UNIFORM, stalled, mle._edges(UNIFORM, ds.y))
         assert not cert.certified
         # a held row's multiplier pushed outside [0, 1] fails the test too
@@ -942,10 +942,9 @@ def count_ascent_directions(monkeypatch):
 def newton_then_march_loglik(ds, link, report):
     """The log likelihood of the tied-row route: 25 Newton iterations from
     fit's start, then the march along the report's direction."""
-    point, _, trace, center, spread = newton_alone(ds, link, FitOptions(max_iter=25))
-    xt = mle._with_intercept(mle._standardize(ds.x)[0])
-    gamma = mle._to_standardized(report.direction, center, spread)
-    return mle._march_to_divergence(xt, ds.y, link, point, gamma, FitOptions(), trace).loglik
+    point, _, trace, dm = newton_alone(ds, link, FitOptions(max_iter=25))
+    gamma = dm.to_standardized(report.direction)
+    return mle._march_to_divergence(dm.xt, ds.y, link, point, gamma, FitOptions(), trace).loglik
 
 
 class TestStrictSeparation:

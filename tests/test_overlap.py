@@ -22,6 +22,11 @@ def cone_of(ds):
     return cone_overlap(extended_design(ds), ds.y)
 
 
+def raw_design(ds):
+    """[1 | x] in raw predictor coordinates, where report directions live."""
+    return np.column_stack([np.ones(ds.n), ds.x])
+
+
 def tied_separated(rng, n, d):
     """Groups split by a random hyperplane and pushed 0.2 apart, then one
     point on the mid-plane placed in both groups: quasi-separated, margin 0."""
@@ -105,7 +110,7 @@ class TestScalar:
     def test_separated_report_carries_a_separating_direction(self, x, y):
         ds = make_ds(x, y)
         rep = scalar_overlap(ds)
-        proj = extended_design(ds).xt @ rep.direction
+        proj = raw_design(ds) @ rep.direction
         assert np.all(proj[ds.y == 1] >= 0.0) and np.all(proj[ds.y == 0] <= 0.0)
         assert np.sign(rep.direction[1]) == rep.direction_hint
 
@@ -315,8 +320,7 @@ class TestSeparatingDirection:
     def test_found_for_separated_data(self):
         ds = make_ds([1, 2, 3, 4], [0, 0, 1, 1])
         gamma = separating_direction(extended_design(ds), ds.y)
-        xt = extended_design(ds).xt
-        proj = xt @ gamma
+        proj = raw_design(ds) @ gamma
         assert np.all(proj[ds.y == 1] >= -1e-12)
         assert np.all(proj[ds.y == 0] <= 1e-12)
         assert np.max(np.abs(proj)) > 1e-9
@@ -330,7 +334,7 @@ class TestSeparatingDirection:
         ds = make_ds([1, 2, 3, 3, 4, 5], [0, 0, 0, 1, 1, 1])
         gamma = separating_direction(extended_design(ds), ds.y)
         assert gamma is not None
-        proj = extended_design(ds).xt @ gamma
+        proj = raw_design(ds) @ gamma
         assert np.all(proj[ds.y == 1] >= -1e-12)
         assert np.all(proj[ds.y == 0] <= 1e-12)
 
@@ -339,7 +343,7 @@ class TestSeparatingDirection:
         for seed in range(15):
             ds = gen_separated(10 + 7 * seed, d, seed)
             gamma = separating_direction(extended_design(ds), ds.y)
-            proj = extended_design(ds).xt @ gamma
+            proj = raw_design(ds) @ gamma
             assert proj[ds.y == 1].min() > 0.0
             assert proj[ds.y == 0].max() < 0.0
 
@@ -351,7 +355,7 @@ class TestSeparatingDirection:
             assert cone_of(ds).margin == 0.0
             gamma = separating_direction(extended_design(ds), ds.y)
             assert gamma is not None
-            proj = extended_design(ds).xt @ gamma
+            proj = raw_design(ds) @ gamma
             scale = np.max(np.abs(proj))
             assert proj[ds.y == 1].min() >= -1e-12 * scale
             assert proj[ds.y == 0].max() <= 1e-12 * scale
@@ -375,5 +379,5 @@ class TestSeparatingDirection:
         # the cone program has no solution and phase 1 supplies gamma
         ds = make_ds([[0.0, 1.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [1, 0, 0, 0])
         gamma = separating_direction(extended_design(ds), ds.y)
-        proj = extended_design(ds).xt @ gamma
+        proj = raw_design(ds) @ gamma
         assert proj[0] > 0.0 and np.all(proj[1:] < 0.0)
