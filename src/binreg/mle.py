@@ -9,11 +9,15 @@ overlap, Newton converges to the unique maximizer; when they are
 separated, the fit follows the report's separating direction with doubling
 steps, along which the log likelihood is provably nondecreasing, until the
 slope norm crosses the divergence bound, and reports Diverged with the
-last iterate. The march starts at once when the separation is strict (every
-row's signed margin along the direction clears ``STRICT_MARGIN`` times the
-largest): the supremum is then 0 and there is no finite part to fit. When
-some rows are tied (quasi-separation), Newton first fits the tied rows'
-finite part for up to 25 iterations and the march continues from there.
+iterate past it. Because it cannot fall, the march forms the doubling
+iterates without evaluating the link and lands in one evaluation, which
+counts as one iteration; it goes step by step only when that landing
+iterate falls below the start. The march starts at once when the
+separation is strict (every row's signed margin along the direction clears
+``STRICT_MARGIN`` times the largest): the supremum is then 0 and there is
+no finite part to fit. When some rows are tied (quasi-separation), Newton
+first fits the tied rows' finite part for up to 25 iterations and the
+march continues from there.
 
 Each Newton step is damped by Armijo backtracking over the steps 1, 1/2,
 ..., 2**(1 - max_halvings). Step 1 is one log likelihood evaluation; when
@@ -94,8 +98,8 @@ class FitOptions:
     ridge: float = 1e-10             # Hessian eigenvalue floor factor
 
     def validate(self) -> None:
-        if self.tol <= 0 or self.diverge_bound <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.diverge_bound < math.inf):
+            raise ConfigError("tolerances must be finite and positive")
         if self.max_iter <= 0 or self.max_halvings <= 0 or self.starts <= 0:
             raise ConfigError("iteration counts must be positive")
 
@@ -477,11 +481,30 @@ STRICT_MARGIN = 1e-8
 def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOptions,
                          trace: _Trace) -> _Evaluation:
     """Doubling steps along a separating direction from ``point`` until the
-    slope norm crosses the divergence bound; returns the last accepted
-    point. The log likelihood is nondecreasing along gamma by construction
-    (each term's argument moves toward its label's favorable side); tiny
-    float wobble is tolerated."""
+    slope norm crosses the divergence bound; returns the point reached.
+
+    The log likelihood is nondecreasing along gamma by construction (each
+    term's argument moves toward its label's favorable side), so the
+    iterates theta + gamma + 2 gamma + 4 gamma + ... are formed without
+    evaluating the link, and only the landing iterate past the bound is
+    evaluated: one link call, accepted as one iterate when its log
+    likelihood is no lower than the start's, up to a float wobble
+    allowance. Only when it is lower does the march go step by step from
+    the start, evaluating each doubling and halving the step after one that
+    falls short."""
     f = point.loglik
+    floor = f - 1e-9 * (1.0 + abs(f))
+    theta = point.theta
+    step = 1.0
+    while np.linalg.norm(theta[1:]) <= opts.diverge_bound:
+        theta = theta + step * gamma
+        step *= 2.0
+    if theta is point.theta:
+        return point
+    landing = _evaluate(xt, y, link, theta)
+    if landing.loglik >= floor:
+        trace.accept(landing.loglik)
+        return landing
     step = 1.0
     while np.linalg.norm(point.theta[1:]) <= opts.diverge_bound:
         cand = _evaluate(xt, y, link, point.theta + step * gamma)
@@ -555,9 +578,14 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     direction, a strictly separated set is marched from the starting point
     with no Newton iteration; a set with tied rows (a signed margin of at
     most ``STRICT_MARGIN`` times the largest) runs up to 25 Newton
-    iterations first, which fit the tied rows' share of the supremum. For
-    the log-concave links both routes reach the same supremum; cauchit's
-    log likelihood at the slope bound depends on where the march started.
+    iterations first, which fit the tied rows' share of the supremum. The
+    march evaluates the link once, at the iterate where it lands past the
+    bound (see ``_march_to_divergence``), so a Diverged fit's
+    ``iterations`` is its Newton iterations plus 1 (plus 0 when Newton
+    already crossed the bound) and a strictly separated fit makes two
+    ``link.log_terms`` calls. For the log-concave links both routes reach
+    the same supremum; cauchit's log likelihood at the slope bound depends
+    on where the march started.
 
     Status values: Converged (score within tolerance at an interior
     maximum, or a maximizer at a kink certified as described below),

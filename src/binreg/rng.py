@@ -6,6 +6,8 @@ identically across runs and platforms without carrying generator state.
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -30,6 +32,19 @@ class CounterRng:
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = (self.u64() >> 11) * 2.0 ** -53
+        return lo + (hi - lo) * u
+
+    def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """The next ``count`` draws of ``uniform(lo, hi)`` as an array, bit
+        for bit: the same SplitMix64 steps on uint64 counters (which wrap
+        mod 2**64 as ``_MASK64`` does) and the same IEEE operations."""
+        k = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        self._counter += count
+        z = np.uint64(self._seed) + k * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+        u = (z >> np.uint64(11)) * 2.0 ** -53
         return lo + (hi - lo) * u
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:

@@ -207,8 +207,8 @@ def _gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500):
         raise GenerationFailure(f"need n >= d+2 to overlap, got n={n}, d={d}")
     rng = CounterRng(seed)
     for _ in range(max_tries):
-        x = np.array([[rng.uniform(-2.0, 2.0) for _ in range(d)] for _ in range(n)])
-        y = np.array([rng.bernoulli(0.5) for _ in range(n)])
+        x = rng.uniforms(n * d, -2.0, 2.0).reshape(n, d)
+        y = (rng.uniforms(n) < 0.5).astype(int)
         if y.sum() == 0 or y.sum() == n:
             continue
         ds = dataset_from_arrays(x, y)
@@ -233,7 +233,7 @@ def gen_separated(n: int, d: int, seed: int) -> Dataset:
     w = np.array([rng.normal() for _ in range(d)])
     norm = np.linalg.norm(w)
     w = w / norm if norm > 0 else np.eye(d)[0]
-    x = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(n)])
+    x = rng.uniforms(n * d, -1.0, 1.0).reshape(n, d)
     scores = x @ w
     order = np.argsort(scores, kind="stable")
     n1 = max(1, n // 2)

@@ -38,8 +38,10 @@ VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 # of the two quasi_separated_tie CSVs and both overlapping_n400_d3_seed3.csv
 # logit lines moved); the two offset CSVs' lines were written by the code
 # that still standardized the predictors separately for the overlap verdict
-# and the fit, and pin that sharing one design moved nothing. Regenerated
-# only by a change that moves fit outputs on purpose
+# and the fit, and pin that sharing one design moved nothing. When the march
+# came to evaluate only its landing iterate, only the iterations field of 18
+# --force lines moved (strict fits 18 or 19 -> 1, tied fits 18 fewer).
+# Regenerated only by a change that moves fit outputs on purpose
 FIT_GOLDEN = DATA / "fit_golden.json"
 GOLDEN_CSVS = ("quasi_separated_tie.csv", "quasi_separated_tie_pivots.csv",
                "separated_pivot_livelock.csv", "offset_separated_d1.csv",
@@ -385,6 +387,15 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "fit", "--csv", str(p))
         assert code == 1
         assert "row 2" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        # --tol inf reported Converged at beta = 0, --tol nan MaxIterations
+        code, out, err = run_cli(capsys, "fit", "--csv", str(DATA / "offset_overlapping_d2.csv"),
+                                 "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "finite and positive" in err
 
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--nope")

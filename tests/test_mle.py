@@ -431,6 +431,15 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(ds, LOGIT, FitOptions(max_iter=0))
 
+    @pytest.mark.parametrize("bad", [{"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-10},
+                                     {"diverge_bound": math.inf},
+                                     {"diverge_bound": math.nan}, {"diverge_bound": 0.0}])
+    def test_tolerances_must_be_finite_and_positive(self, bad):
+        # an infinite tol reported Converged at the start and a NaN one ran
+        # every iteration; an infinite bound leaves the march no end
+        with pytest.raises(ConfigError, match="finite and positive"):
+            fit(make_ds([1, 3, 2, 4], [0, 0, 1, 1]), LOGIT, FitOptions(**bad))
+
     @given(seed=st.integers(0, 400))
     @settings(max_examples=20, deadline=None)
     def test_small_instances_match_grid_oracle(self, seed):
@@ -996,3 +1005,91 @@ class TestStrictSeparation:
         fr = fit(ds, LOGIT)
         assert fr.status == DIVERGED
         assert len(calls) > 0
+
+
+def fit_start(ds, link):
+    theta = np.zeros(ds.d + 1)
+    theta[0] = link.inverse(ds.n1 / ds.n)
+    return theta
+
+
+def doubling_landing(theta, gamma, bound):
+    """The first of theta + gamma, + 2 gamma, + 4 gamma, ... whose slope
+    norm passes ``bound``, formed with the march's own additions."""
+    step = 1.0
+    while np.linalg.norm(theta[1:]) <= bound:
+        theta, step = theta + step * gamma, 2.0 * step
+    return theta
+
+
+def count_log_terms(monkeypatch, link):
+    calls = []
+    log_terms = link.log_terms
+
+    def counted(z, y):
+        calls.append(1)
+        return log_terms(z, y)
+
+    monkeypatch.setattr(link, "log_terms", counted)
+    return calls
+
+
+class TestMarchLanding:
+    """The march forms its doubling iterates along the separating direction
+    without evaluating the link and evaluates only the one that lands past
+    the divergence bound; the step-by-step march runs only when that landing
+    iterate falls below the start."""
+
+    @pytest.mark.parametrize("bound", [1e2, 1e6])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_strict_fit_takes_two_link_calls(self, name, bound, monkeypatch):
+        link = get_link(name)
+        opts = FitOptions(diverge_bound=bound)
+        for ds in (gen_separated(40, 3, 2), read_csv(DATA / "separated_pivot_livelock.csv")):
+            report = cone_overlap(extended_design(ds), ds.y)
+            calls = count_log_terms(monkeypatch, link)
+            fr = fit(ds, link, opts, overlap=report)
+            # the start's log likelihood, then the landing iterate's
+            assert fr.status == DIVERGED and len(calls) == 2
+            assert fr.iterations == 1 and len(fr.history) == 1
+            theta = extended_design(ds).to_standardized(np.concatenate([[fr.params.alpha],
+                                                                         fr.params.beta]))
+            assert np.linalg.norm(theta[1:]) > bound
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_landing_matches_the_step_by_step_march(self, name):
+        # along a separating direction every doubling passes the guard, so
+        # the landing iterate is the step-by-step march's last one, bit for bit
+        link = get_link(name)
+        for d, seed in ((1, 0), (2, 3), (3, 5)):
+            ds = gen_separated(30, d, seed)
+            dm = extended_design(ds)
+            gamma = dm.to_standardized(cone_overlap(dm, ds.y).direction)
+            start = mle._evaluate(dm.xt, ds.y, link, fit_start(ds, link))
+            landing = mle._march_to_divergence(dm.xt, ds.y, link, start, gamma, FitOptions(),
+                                               mle._Trace())
+            theta = doubling_landing(start.theta, gamma, FitOptions().diverge_bound)
+            assert bits(landing.theta) == bits(theta)
+            assert bits(landing.loglik) == bits(mle._loglik(dm.xt, ds.y, link, theta))
+
+    @pytest.mark.parametrize("name", CERTIFIED_NAMES)
+    def test_failed_landing_marches_step_by_step(self, name, monkeypatch):
+        # along -gamma the log likelihood falls, so the landing iterate fails
+        # the guard and the step-by-step march keeps within it of the start
+        link = get_link(name)
+        ds = gen_separated(30, 2, 3)
+        dm = extended_design(ds)
+        gamma = dm.to_standardized(cone_overlap(dm, ds.y).direction)
+        opts = FitOptions()
+        start = mle._evaluate(dm.xt, ds.y, link, fit_start(ds, link))
+        theta = doubling_landing(start.theta, -gamma, opts.diverge_bound)
+        f = start.loglik
+        floor = f - 1e-9 * (1.0 + abs(f))
+        assert not mle._loglik(dm.xt, ds.y, link, theta) >= floor
+        calls = count_log_terms(monkeypatch, link)
+        trace = mle._Trace()
+        point = mle._march_to_divergence(dm.xt, ds.y, link, start, -gamma, opts, trace)
+        assert len(calls) > 2
+        assert point.loglik >= floor
+        assert np.linalg.norm(point.theta[1:]) <= opts.diverge_bound
+        assert trace.history == [] or min(trace.history) >= floor
