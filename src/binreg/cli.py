@@ -129,7 +129,12 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_verify(args) -> int:
     theorems = ["sign", "zero", "angle"] if args.theorem == "all" else [args.theorem]
-    dims = tuple(int(v) for v in args.dims.split(","))
+    dims = tuple(int(v) if v.strip().isdecimal() else 0 for v in args.dims.split(","))
+    # a suite of no trials checks nothing, and d = 0 has no predictor
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if min(dims) < 1:
+        raise ValueError(f"--dims takes integers of at least 1, got {args.dims}")
     results = []
     for theorem in theorems:
         if theorem == "sign":

@@ -8,11 +8,11 @@ along a separating direction), so ``fit`` first settles existence with
 overlap, Newton converges to the unique maximizer; when they are
 separated, the fit follows the report's separating direction with doubling
 steps, along which the log likelihood is provably nondecreasing, until the
-slope norm crosses the divergence bound, and reports Diverged with the
-iterate past it. Because it cannot fall, the march forms the doubling
-iterates without evaluating the link and lands in one evaluation, which
-counts as one iteration; it goes step by step only when that landing
-iterate falls below the start. The march starts at once when the
+slope norm crosses ``DIVERGE_BOUND``, and reports Diverged with the iterate
+past it. Because it cannot fall, the march forms the doubling iterates
+without evaluating the link and lands in one evaluation, which counts as
+one iteration; it goes step by step only when that landing iterate falls
+below the start. The march starts at once when the
 separation is strict (every row's signed margin along the direction clears
 ``STRICT_MARGIN`` times the largest): the supremum is then 0 and there is
 no finite part to fit. When some rows are tied (quasi-separation), Newton
@@ -20,7 +20,7 @@ first fits the tied rows' finite part for up to 25 iterations and the
 march continues from there.
 
 Each Newton step is damped by Armijo backtracking over the steps 1, 1/2,
-..., 2**(1 - max_halvings). Step 1 is one log likelihood evaluation; when
+..., 2**(1 - _MAX_HALVINGS). Step 1 is one log likelihood evaluation; when
 it fails, the remaining halvings are evaluated in blocks with one link call
 per block, the block sized so candidates x rows stays under a small element
 budget (every halving in one block at suite sizes, one per block on large
@@ -35,7 +35,16 @@ the linear predictor and per-row log likelihood terms of the new iterate,
 is carried to it and gives its log likelihood, score and Hessian, and those
 of the last iterate are what ``fit`` reports. Every per-row term comes from
 one ``link.log_terms`` call, which for a symmetric link is a single log G
-evaluation at z or -z.
+evaluation at z or -z. ``fit`` evaluates its starting point once, and every
+route (Newton, the march, the kink ascent, the first of the multi-start
+points) begins from that evaluation. Each route appends the log likelihood
+of every iterate it accepts to one history list, whose length is the fit's
+``iterations``.
+
+``FitOptions`` holds the two settings a caller chooses, the score
+tolerance and the iteration limit; the divergence bound, the Armijo factor,
+the halving count, the multi-start count and the Hessian ridge are module
+constants.
 
 A link whose support has a finite endpoint (the uniform CDF) gives each row
 a kink where its G or 1 - G reaches 1: log G(z) = min(log z, 0). Maxima
@@ -87,20 +96,26 @@ class Parameters:
     beta: np.ndarray
 
 
+# The divergence bound: a fit whose slope 2-norm (standardized scale) passes
+# it while the log likelihood still climbs is Diverged.
+DIVERGE_BOUND = 1e4
+_ARMIJO = 1e-4            # sufficient-increase factor of the line search
+_MAX_HALVINGS = 50        # the line search tries the steps 1, ..., 2**(1 - _MAX_HALVINGS)
+_STARTS = 7               # multi-start count for non-log-concave links
+_RIDGE = 1e-10            # Hessian eigenvalue floor factor
+
+
 @dataclass(frozen=True)
 class FitOptions:
     tol: float = 1e-10                # sup-norm score tolerance, standardized scale
     max_iter: int = 100
-    diverge_bound: float = 1e4       # slope 2-norm bound, standardized scale
-    armijo: float = 1e-4
-    max_halvings: int = 50
-    starts: int = 7                  # multi-start count for non-log-concave links
-    ridge: float = 1e-10             # Hessian eigenvalue floor factor
 
     def validate(self) -> None:
-        if not (0 < self.tol < math.inf and 0 < self.diverge_bound < math.inf):
+        if not 0 < self.tol < math.inf:
             raise ConfigError("tolerances must be finite and positive")
-        if self.max_iter <= 0 or self.max_halvings <= 0 or self.starts <= 0:
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ConfigError(f"max_iter must be an integer, not {self.max_iter!r}")
+        if self.max_iter <= 0:
             raise ConfigError("iteration counts must be positive")
 
 
@@ -109,11 +124,14 @@ class FitResult:
     params: Parameters
     loglik: float
     score_norm: float
-    iterations: int
     status: str
     hessian_condition: float
     caveat: Optional[str] = None
-    history: Tuple[float, ...] = field(default=())
+    history: Tuple[float, ...] = ()   # log likelihood of each accepted iterate
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 def _theta(p: Parameters) -> np.ndarray:
@@ -148,10 +166,6 @@ def _evaluate(xt, y, link: LinkFamily, theta: np.ndarray) -> _Evaluation:
     return _Evaluation(theta, z, terms, float(np.sum(terms)))
 
 
-def _loglik(xt: np.ndarray, y: np.ndarray, link: LinkFamily, theta: np.ndarray) -> float:
-    return _evaluate(xt, y, link, theta).loglik
-
-
 def _weights(point: _Evaluation, y, link):
     """Per-observation score weight w_i and its z-derivative at ``point``.
 
@@ -172,35 +186,32 @@ def _weights(point: _Evaluation, y, link):
     return w, dw
 
 
-def _derivatives(xt, y, link, theta) -> Tuple[np.ndarray, np.ndarray]:
-    """Score and Hessian from one evaluation of the link."""
-    return _evaluate(xt, y, link, theta).derivatives(xt, y, link)
-
-
 def log_likelihood(ds: Dataset, link: LinkFamily, p: Parameters) -> float:
     """Sum of y*log G(z) + (1-y)*log(1-G(z)) with z = alpha + x'beta.
 
     May be -inf for bounded-support links when some z falls outside the
     support on the wrong side.
     """
-    return _loglik(_with_intercept(ds.x), ds.y, link, _theta(p))
+    return _evaluate(_with_intercept(ds.x), ds.y, link, _theta(p)).loglik
 
 
 def score(ds: Dataset, link: LinkFamily, p: Parameters) -> np.ndarray:
     """Gradient of the log likelihood in (alpha, beta); length d+1."""
-    return _derivatives(_with_intercept(ds.x), ds.y, link, _theta(p))[0]
+    xt = _with_intercept(ds.x)
+    return _evaluate(xt, ds.y, link, _theta(p)).derivatives(xt, ds.y, link)[0]
 
 
 def hessian(ds: Dataset, link: LinkFamily, p: Parameters) -> np.ndarray:
     """Analytic second derivative matrix; symmetric, (d+1) x (d+1)."""
-    return _derivatives(_with_intercept(ds.x), ds.y, link, _theta(p))[1]
+    xt = _with_intercept(ds.x)
+    return _evaluate(xt, ds.y, link, _theta(p)).derivatives(xt, ds.y, link)[1]
 
 
-def _ascent_direction(H: np.ndarray, g: np.ndarray, ridge: float) -> np.ndarray:
+def _ascent_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     # clamp eigenvalues away from zero on the negative side; for concave
     # objectives this is plain Newton, otherwise a descent-safe modification
     evals, evecs = np.linalg.eigh(H)
-    floor = ridge * max(1.0, float(np.abs(evals).sum()))
+    floor = _RIDGE * max(1.0, float(np.abs(evals).sum()))
     clamped = np.minimum(evals, -floor)
     return -evecs @ ((evecs.T @ g) / clamped)
 
@@ -235,8 +246,8 @@ def _evaluate_rows(xt, y, link, cands: np.ndarray):
     return z, terms, terms.sum(axis=1)
 
 
-def _armijo_step(xt, y, link, theta, f, direction, slope, opts: FitOptions):
-    """First step of 1, 1/2, ..., 2**(1 - max_halvings) along ``direction``
+def _armijo_step(xt, y, link, theta, f, direction, slope):
+    """First step of 1, 1/2, ..., 2**(1 - _MAX_HALVINGS) along ``direction``
     whose log likelihood is finite and passes the Armijo test. Returns the
     accepted candidate's ``_Evaluation``, or None when no step passes.
 
@@ -253,14 +264,14 @@ def _armijo_step(xt, y, link, theta, f, direction, slope, opts: FitOptions):
     noise = 1e-12 * (1.0 + abs(f))
 
     def passes(values, steps):
-        return np.isfinite(values) & (values >= f + opts.armijo * steps * slope - noise)
+        return np.isfinite(values) & (values >= f + _ARMIJO * steps * slope - noise)
 
     point = _evaluate(xt, y, link, theta + direction)
     if passes(point.loglik, 1.0):
         return point
-    steps = np.ldexp(1.0, -np.arange(opts.max_halvings))
+    steps = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
     block = max(1, _LINE_SEARCH_ELEMENTS // xt.shape[0])
-    for start in range(1, opts.max_halvings, block):
+    for start in range(1, _MAX_HALVINGS, block):
         tried = steps[start:start + block]
         cands = theta + tried[:, None] * direction
         z, terms, values = _evaluate_rows(xt, y, link, cands)
@@ -271,53 +282,37 @@ def _armijo_step(xt, y, link, theta, f, direction, slope, opts: FitOptions):
     return None
 
 
-class _Trace:
-    def __init__(self):
-        self.history = []
-        self.iterations = 0
-
-    def accept(self, value: float):
-        self.history.append(value)
-        self.iterations += 1
-
-
-def _newton(xt, y, link, theta, opts: FitOptions, trace: _Trace,
-            max_iter: Optional[int] = None):
-    """Damped Newton with Armijo backtracking (see ``_armijo_step``).
-    Returns (the last iterate's ``_Evaluation``, flag).
+def _newton(xt, y, link, point: _Evaluation, history: list, tol: float, limit: int,
+            f: Optional[float] = None):
+    """Damped Newton with Armijo backtracking (see ``_armijo_step``): up to
+    ``limit`` iterations from ``point``, ``f`` being the best log likelihood
+    reached so far (``point``'s when not given). Appends each accepted
+    iterate's log likelihood to ``history`` and returns (last iterate, flag,
+    f). A run that ends "maxiter" continues from its return values exactly
+    as if it had been given the larger limit.
 
     The link is evaluated once per iterate: the record that accepted a step
     carries that iterate's log likelihood, and its score and Hessian come
     from the same terms."""
-    point = _evaluate(xt, y, link, theta)
-    limit = opts.max_iter if max_iter is None else max_iter
-    return _newton_steps(xt, y, link, point, point.loglik, opts, trace, limit)[:2]
-
-
-def _newton_steps(xt, y, link, point: _Evaluation, f: float, opts: FitOptions,
-                  trace: _Trace, limit: int):
-    """Up to ``limit`` Newton iterations from ``point``, ``f`` being the best
-    log likelihood reached so far. Returns (last iterate, flag, f). A run
-    that ends "maxiter" continues from its return values exactly as if it
-    had been given the larger limit."""
+    f = point.loglik if f is None else f
     for _ in range(limit):
         g, H = point.derivatives(xt, y, link)
-        if np.max(np.abs(g)) <= opts.tol:
+        if np.max(np.abs(g)) <= tol:
             return point, "converged", f
-        if np.linalg.norm(point.theta[1:]) > opts.diverge_bound:
+        if np.linalg.norm(point.theta[1:]) > DIVERGE_BOUND:
             return point, "diverged", f
-        direction = _ascent_direction(H, g, opts.ridge)
+        direction = _ascent_direction(H, g)
         slope = float(g @ direction)
         if not np.isfinite(slope) or slope <= 0:
             return point, "stalled", f
-        accepted = _armijo_step(xt, y, link, point.theta, f, direction, slope, opts)
+        accepted = _armijo_step(xt, y, link, point.theta, f, direction, slope)
         if accepted is None:
             return point, "stalled", f
         point = accepted
         f = max(f, point.loglik)
-        trace.accept(point.loglik)
+        history.append(point.loglik)
     g, _ = point.derivatives(xt, y, link)
-    if np.max(np.abs(g)) <= opts.tol:
+    if np.max(np.abs(g)) <= tol:
         return point, "converged", f
     return point, "maxiter", f
 
@@ -379,7 +374,7 @@ def _kink_certificate(xt, y, link: LinkFamily, point: _Evaluation, edges) -> _Ki
     return _KinkCertificate(held=held, multipliers=lam, residual=residual)
 
 
-def _face_step(xt, y, link, point: _Evaluation, model: _Evaluation, held, edge, opts):
+def _face_step(xt, y, link, point: _Evaluation, model: _Evaluation, held, edge):
     """Newton step on the face where the held rows sit on their edge: the
     least-norm move that puts them there, plus the maximizer of the
     quadratic model of the other rows over the null space of the held ones.
@@ -401,14 +396,14 @@ def _face_step(xt, y, link, point: _Evaluation, model: _Evaluation, held, edge, 
     if null.shape[1] == 0:
         return onto, float(g @ onto)
     evals, evecs = np.linalg.eigh(null.T @ H @ null)
-    if evals.max() >= -opts.ridge * max(1.0, float(np.abs(evals).sum())):
+    if evals.max() >= -_RIDGE * max(1.0, float(np.abs(evals).sum())):
         return None
     reduced = null.T @ (g + H @ onto)
     step = onto - null @ (evecs @ ((evecs.T @ reduced) / evals))
     return step, float(g @ step)
 
 
-def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float, opts: FitOptions):
+def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float):
     """Active-set ascent from a Newton iterate to a maximizer at a kink.
 
     Rows within KINK_TOL of their edge are held on it and rows past it are
@@ -452,7 +447,7 @@ def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float, opts: Fi
         if released.any():
             zm = np.where(released, edge + side * out * 2.0 * KINK_TOL, point.z)
             model = _Evaluation(point.theta, zm, link.log_terms(zm, y), point.loglik)
-        face = _face_step(xt, y, link, point, model, held, edge, opts)
+        face = _face_step(xt, y, link, point, model, held, edge)
         if face is None:
             return None
         step, gain = face
@@ -461,7 +456,7 @@ def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float, opts: Fi
         hit = hit[bounded & ~at_edge & (hit > 0.0)]
         t = min(1.0, float(hit.min())) if hit.size else 1.0
         cand = _armijo_step(xt, y, link, point.theta, point.loglik, t * step,
-                            t * max(gain, 0.0), opts)
+                            t * max(gain, 0.0))
         if cand is None:
             return None
         held |= near(cand.z) & ~at_edge
@@ -478,8 +473,7 @@ def _kink_ascent(xt, y, link: LinkFamily, point: _Evaluation, f: float, opts: Fi
 STRICT_MARGIN = 1e-8
 
 
-def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOptions,
-                         trace: _Trace) -> _Evaluation:
+def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, history: list) -> _Evaluation:
     """Doubling steps along a separating direction from ``point`` until the
     slope norm crosses the divergence bound; returns the point reached.
 
@@ -496,22 +490,22 @@ def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOption
     floor = f - 1e-9 * (1.0 + abs(f))
     theta = point.theta
     step = 1.0
-    while np.linalg.norm(theta[1:]) <= opts.diverge_bound:
+    while np.linalg.norm(theta[1:]) <= DIVERGE_BOUND:
         theta = theta + step * gamma
         step *= 2.0
     if theta is point.theta:
         return point
     landing = _evaluate(xt, y, link, theta)
     if landing.loglik >= floor:
-        trace.accept(landing.loglik)
+        history.append(landing.loglik)
         return landing
     step = 1.0
-    while np.linalg.norm(point.theta[1:]) <= opts.diverge_bound:
+    while np.linalg.norm(point.theta[1:]) <= DIVERGE_BOUND:
         cand = _evaluate(xt, y, link, point.theta + step * gamma)
         if cand.loglik >= f - 1e-9 * (1.0 + abs(f)):
             point = cand
             f = max(f, cand.loglik)
-            trace.accept(cand.loglik)
+            history.append(cand.loglik)
             step *= 2.0
         else:  # float wobble guard; take smaller moves
             step *= 0.5
@@ -520,43 +514,39 @@ def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, opts: FitOption
     return point
 
 
-def _newton_then_kink(xt, y, link, theta, opts: FitOptions, trace: _Trace):
+def _newton_then_kink(xt, y, link, start: _Evaluation, opts: FitOptions, history: list):
     """Newton for at most _KINK_AFTER iterations; if that does not finish,
     the active-set ascent (``_kink_ascent``). Returns (point, flag,
     certificate or None). When the ascent certifies nothing, Newton goes on
     where it stopped, so the fit ends exactly as Newton alone would."""
-    point = _evaluate(xt, y, link, theta)
-    point, flag, f = _newton_steps(xt, y, link, point, point.loglik, opts, trace,
-                                   min(_KINK_AFTER, opts.max_iter))
+    point, flag, f = _newton(xt, y, link, start, history, opts.tol,
+                             min(_KINK_AFTER, opts.max_iter))
     if flag not in ("maxiter", "stalled"):
         return point, flag, None
     try:
-        kink = _kink_ascent(xt, y, link, point, f, opts)
+        kink = _kink_ascent(xt, y, link, point, f)
     except np.linalg.LinAlgError:    # an SVD or eigensolver that did not converge
         kink = None
     if kink is not None:
         point, cert, accepted = kink
-        for value in accepted:
-            trace.accept(value)
+        history.extend(accepted)
         return point, "converged", cert
     if flag == "maxiter":
-        point, flag, _ = _newton_steps(xt, y, link, point, f, opts, trace,
-                                       opts.max_iter - _KINK_AFTER)
+        point, flag, _ = _newton(xt, y, link, point, history, opts.tol,
+                                 opts.max_iter - _KINK_AFTER, f)
     return point, flag, None
 
 
-def _multistart_points(theta0: np.ndarray, count: int) -> list:
-    pts = [theta0.copy()]
+def _spread_starts(theta0: np.ndarray, count: int) -> list:
+    """``count`` starting points around ``theta0``, each moved along one
+    axis: +2 on every axis in turn, then -2, then +4, -4, ..."""
+    pts = []
     dim = theta0.size
-    k = 1
-    while len(pts) < count:
-        axis = (k - 1) % dim
-        magnitude = 2.0 * (1 + (k - 1) // (2 * dim))
-        sign = 1.0 if (k - 1) // dim % 2 == 0 else -1.0
+    for k in range(count):
+        sign = 1.0 if k // dim % 2 == 0 else -1.0
         cand = theta0.copy()
-        cand[axis] += sign * magnitude
+        cand[k % dim] += sign * 2.0 * (1 + k // (2 * dim))
         pts.append(cand)
-        k += 1
     return pts
 
 
@@ -589,14 +579,15 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
 
     Status values: Converged (score within tolerance at an interior
     maximum, or a maximizer at a kink certified as described below),
-    Diverged (groups separated; slope escaped the bound with the log
+    Diverged (groups separated; slope escaped ``DIVERGE_BOUND`` with the log
     likelihood still climbing), MaxIterations, NotUnique (design matrix
     numerically rank-deficient; the returned point still maximizes the
     likelihood but not uniquely). Non-log-concave links are fitted from
-    ``options.starts`` spread starting points and the best local optimum is
-    returned with a caveat. When the cone program fails numerically at
-    d > 1, the fit proceeds as if the groups overlap and its caveat names
-    the failure.
+    ``_STARTS`` starting points (fit's own start, then ``_spread_starts``);
+    the run that ranks best by (converged, log likelihood) is returned, its
+    point, history and status, with a caveat. When the cone program fails
+    numerically at d > 1, the fit proceeds as if the groups overlap and its
+    caveat names the failure.
 
     At a kink, Converged means that the rows held on the edge of the
     support have multipliers in [0, 1], the supergradient residual is at
@@ -628,12 +619,13 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             lp_caveat = f"cone program failed: {exc}; existence not certified"
     verdict = None if report is None else report.verdict
 
-    trace = _Trace()
+    start = _evaluate(xt, y, link, theta0)
+    history = []
     caveat = None
     cert = None
 
     if not rank_ok:
-        point, _ = _newton(xt, y, link, theta0, opts, trace)
+        point, _, _ = _newton(xt, y, link, start, history, opts.tol, opts.max_iter)
         status = NOT_UNIQUE
         caveat = "design matrix is rank-deficient; maximizer is not unique"
     elif verdict == SEPARATED:
@@ -641,7 +633,7 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             # margin below T_MIN but no weakly separating direction: the
             # groups overlap by less than the cone tolerance; fall back to
             # plain Newton and report its natural outcome
-            point, flag = _newton(xt, y, link, theta0, opts, trace)
+            point, flag, _ = _newton(xt, y, link, start, history, opts.tol, opts.max_iter)
             status = _STATUS[flag]
             caveat = "overlap margin below tolerance; treat the fit as fragile"
         else:
@@ -650,31 +642,31 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
             if margins.min() > STRICT_MARGIN * np.max(np.abs(margins)):
                 # strict separation: the supremum 0 has no finite part for
                 # Newton to fit, and the march alone reaches it
-                point = _evaluate(xt, y, link, theta0)
+                point = start
             else:
                 # tied rows: Newton fits their finite part first (the march
                 # takes no step from an iterate already past the bound)
-                point, _ = _newton(xt, y, link, theta0, opts, trace,
-                                   max_iter=min(opts.max_iter, 25))
-            point = _march_to_divergence(xt, y, link, point, gamma, opts, trace)
+                point, _, _ = _newton(xt, y, link, start, history, opts.tol,
+                                      min(opts.max_iter, 25))
+            point = _march_to_divergence(xt, y, link, point, gamma, history)
             status = DIVERGED
     elif link.claims_log_concave:
         if verdict == OVERLAP and np.isfinite(link.support).any():
-            point, flag, cert = _newton_then_kink(xt, y, link, theta0, opts, trace)
+            point, flag, cert = _newton_then_kink(xt, y, link, start, opts, history)
         else:
-            point, flag = _newton(xt, y, link, theta0, opts, trace)
+            point, flag, _ = _newton(xt, y, link, start, history, opts.tol, opts.max_iter)
         status = _STATUS[flag]
     else:
         caveat = "link is not log-concave: best local optimum from multi-start"
         best = None
-        for start in _multistart_points(theta0, opts.starts):
-            sub_trace = _Trace()
-            point_k, flag_k = _newton(xt, y, link, start, opts, sub_trace)
+        spread = (_evaluate(xt, y, link, theta) for theta in _spread_starts(theta0, _STARTS - 1))
+        for point_k in (start, *spread):
+            history_k = []
+            point_k, flag_k, _ = _newton(xt, y, link, point_k, history_k, opts.tol, opts.max_iter)
             key = (flag_k == "converged", point_k.loglik)
             if best is None or key > best[0]:
-                best = (key, point_k, flag_k, sub_trace)
-        _, point, flag, sub_trace = best
-        trace = sub_trace
+                best = (key, point_k, flag_k, history_k)
+        _, point, flag, history = best
         status = _STATUS[flag]
 
     score_std, hess = point.derivatives(xt, y, link)
@@ -694,9 +686,8 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
         params=Parameters(alpha=float(raw[0]), beta=beta),
         loglik=point.loglik,
         score_norm=score_norm,
-        iterations=trace.iterations,
         status=status,
         hessian_condition=hess_cond,
         caveat="; ".join(filter(None, (lp_caveat, caveat))) or None,
-        history=tuple(trace.history),
+        history=tuple(history),
     )

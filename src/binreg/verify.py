@@ -227,8 +227,8 @@ def _gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500):
 def gen_separated(n: int, d: int, seed: int) -> Dataset:
     """Completely separated dataset: points split by a random hyperplane
     and pushed apart so the margin is strict."""
-    if n < 2:
-        raise GenerationFailure("need n >= 2")
+    if n < 2 or d < 1:
+        raise GenerationFailure(f"need n >= 2 and d >= 1, got n={n}, d={d}")
     rng = CounterRng(seed)
     w = np.array([rng.normal() for _ in range(d)])
     norm = np.linalg.norm(w)
@@ -252,13 +252,18 @@ def gen_balanced(n: int, d: int, seed: int) -> Dataset:
 
 
 def gen_gaussian(n: int, mu0, mu1, sigma, seed: int) -> Dataset:
-    """Class-conditional Gaussian predictors: x | y=j ~ N(mu_j, sigma)."""
+    """Class-conditional Gaussian predictors: x | y=j ~ N(mu_j, sigma), with
+    sigma a scale (finite, at least 0) or a covariance matrix (finite)."""
     mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     if mu0.shape != mu1.shape:
         raise DimensionError("mu0 and mu1 must share a dimension")
+    if n < 2:
+        raise GenerationFailure(f"need n >= 2, got n={n}")
     d = mu0.size
     sigma_arr = np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(sigma_arr)) or (sigma_arr.ndim == 0 and sigma_arr < 0):
+        raise GenerationFailure(f"sigma must be finite and, as a scale, at least 0; got {sigma}")
     if sigma_arr.ndim == 0:
         chol = float(sigma_arr) * np.eye(d)
     else:

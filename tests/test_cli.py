@@ -397,6 +397,36 @@ class TestErrorPaths:
         assert out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--theorem", "zero", "--trials", "-5"), "--trials"),
+        (("--theorem", "zero", "--trials", "0"), "--trials"),
+        (("--theorem", "angle", "--trials", "1", "--dims", "0"), "--dims"),
+        (("--theorem", "angle", "--trials", "1", "--dims", "2,-1"), "--dims"),
+        (("--theorem", "angle", "--trials", "1", "--dims", "2,x"), "--dims"),
+    ])
+    def test_verify_must_check_something(self, capsys, flags, named):
+        # no trials printed suites of "trials": 0 and passed; d = 0 failed
+        # deep inside the generator
+        code, out, err = run_cli(capsys, "verify", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "gaussian", "--n", "0"),
+        ("--kind", "gaussian", "--n", "1"),
+        ("--kind", "gaussian", "--sigma", "-1"),
+        ("--kind", "gaussian", "--sigma", "nan"),
+        ("--kind", "separated", "--d", "0", "--n", "5"),
+    ])
+    def test_simulate_rejects_what_it_cannot_draw(self, capsys, flags):
+        # the first and the last ended in an IndexError traceback, and a
+        # negative sigma was accepted
+        code, out, err = run_cli(capsys, "simulate", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--nope")
         assert code == 1

@@ -431,14 +431,23 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(ds, LOGIT, FitOptions(max_iter=0))
 
-    @pytest.mark.parametrize("bad", [{"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-10},
-                                     {"diverge_bound": math.inf},
-                                     {"diverge_bound": math.nan}, {"diverge_bound": 0.0}])
+    @pytest.mark.parametrize("bad", [{"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-10}])
     def test_tolerances_must_be_finite_and_positive(self, bad):
         # an infinite tol reported Converged at the start and a NaN one ran
-        # every iteration; an infinite bound leaves the march no end
+        # every iteration
         with pytest.raises(ConfigError, match="finite and positive"):
             fit(make_ds([1, 3, 2, 4], [0, 0, 1, 1]), LOGIT, FitOptions(**bad))
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # a float died inside range() and True ran one iteration
+        with pytest.raises(ConfigError, match="max_iter must be an integer"):
+            fit(make_ds([1, 3, 2, 4], [0, 0, 1, 1]), LOGIT, FitOptions(max_iter=max_iter))
+
+    def test_numpy_integer_max_iter_is_accepted(self):
+        ds = make_ds([1, 3, 2, 4], [0, 0, 1, 1])
+        fr = fit(ds, LOGIT, FitOptions(max_iter=np.int64(7)))
+        assert fr.history == fit(ds, LOGIT, FitOptions(max_iter=7)).history
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=20, deadline=None)
@@ -459,33 +468,37 @@ class TestFit:
         assert fr.loglik == pytest.approx(log_likelihood(ds, LOGIT, oracle), abs=1e-6)
 
 
-def sequential_armijo(xt, y, link, theta, f, direction, slope, opts):
+def loglik(xt, y, link, theta):
+    return mle._evaluate(xt, y, link, theta).loglik
+
+
+def sequential_armijo(xt, y, link, theta, f, direction, slope):
     """Reference backtracking: the steps 1, 1/2, ... tried one at a time,
-    one ``_loglik`` each. Returns (candidate, its log likelihood, halvings
+    one ``_evaluate`` each. Returns (candidate, its log likelihood, halvings
     taken) or None."""
     step = 1.0
     noise = 1e-12 * (1.0 + abs(f))
-    for k in range(opts.max_halvings):
+    for k in range(mle._MAX_HALVINGS):
         cand = theta + step * direction
-        f_cand = mle._loglik(xt, y, link, cand)
-        if np.isfinite(f_cand) and f_cand >= f + opts.armijo * step * slope - noise:
+        f_cand = loglik(xt, y, link, cand)
+        if np.isfinite(f_cand) and f_cand >= f + mle._ARMIJO * step * slope - noise:
             return cand, f_cand, k
         step *= 0.5
     return None
 
 
-def newton_walk(xt, y, link, theta, opts, iters):
+def newton_walk(xt, y, link, theta, iters):
     """Yield (theta, f, direction, slope) at successive Newton iterates,
     advanced by the sequential reference search."""
-    f = mle._loglik(xt, y, link, theta)
+    f = loglik(xt, y, link, theta)
     for _ in range(iters):
-        g, H = mle._derivatives(xt, y, link, theta)
-        direction = mle._ascent_direction(H, g, opts.ridge)
+        g, H = mle._evaluate(xt, y, link, theta).derivatives(xt, y, link)
+        direction = mle._ascent_direction(H, g)
         slope = float(g @ direction)
         if not np.isfinite(slope) or slope <= 0:
             return
         yield theta, f, direction, slope
-        found = sequential_armijo(xt, y, link, theta, f, direction, slope, opts)
+        found = sequential_armijo(xt, y, link, theta, f, direction, slope)
         if found is None:
             return
         theta, f = found[0], max(f, found[1])
@@ -527,9 +540,9 @@ class TestBatchedLineSearch:
         y[:2] = [0, 1]
         return extended_design(make_ds(x, y)).xt, y, rng
 
-    def compare(self, xt, y, link, theta, f, direction, slope, opts):
-        got = mle._armijo_step(xt, y, link, theta, f, direction, slope, opts)
-        want = sequential_armijo(xt, y, link, theta, f, direction, slope, opts)
+    def compare(self, xt, y, link, theta, f, direction, slope):
+        got = mle._armijo_step(xt, y, link, theta, f, direction, slope)
+        want = sequential_armijo(xt, y, link, theta, f, direction, slope)
         if want is None:
             assert got is None
             return None
@@ -547,21 +560,21 @@ class TestBatchedLineSearch:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_matches_sequential_search(self, name):
         link = get_link(name)
-        opts = FitOptions()
         halvings = []
         for seed in range(40):
             xt, y, rng = self.design(seed)
             p = random_interior_point(name, rng, xt.shape[1] - 1)
             theta = np.concatenate([[p.alpha], p.beta])
-            f = mle._loglik(xt, y, link, theta)
+            point = mle._evaluate(xt, y, link, theta)
+            f = point.loglik
             # a random ascent direction, scaled so step 1 often overshoots
-            g = mle._derivatives(xt, y, link, theta)[0]
+            g = point.derivatives(xt, y, link)[0]
             direction = (g + rng.normal(size=g.size)) * 10.0 ** rng.uniform(-1, 3)
             slope = float(g @ direction)
             if slope > 0:
-                halvings.append(self.compare(xt, y, link, theta, f, direction, slope, opts))
-            for point in newton_walk(xt, y, link, theta, opts, 15):
-                halvings.append(self.compare(xt, y, link, *point, opts))
+                halvings.append(self.compare(xt, y, link, theta, f, direction, slope))
+            for step in newton_walk(xt, y, link, theta, 15):
+                halvings.append(self.compare(xt, y, link, *step))
         assert 0 in halvings
         assert any(k is not None and k >= 1 for k in halvings)
 
@@ -569,7 +582,6 @@ class TestBatchedLineSearch:
         # uniform fits end on the edge of the support, where step 1 leaves
         # it and the accepted step comes after tens of halvings
         link = get_link("uniform")
-        opts = FitOptions()
         halvings = []
         for seed in range(12):
             ds = gen_overlapping(int(np.random.default_rng(seed).integers(10, 41)),
@@ -577,24 +589,24 @@ class TestBatchedLineSearch:
             xt = extended_design(ds).xt
             theta = np.zeros(xt.shape[1])
             theta[0] = link.inverse(ds.n1 / ds.n)
-            for point in newton_walk(xt, ds.y, link, theta, opts, 100):
-                halvings.append(self.compare(xt, ds.y, link, *point, opts))
+            for step in newton_walk(xt, ds.y, link, theta, 100):
+                halvings.append(self.compare(xt, ds.y, link, *step))
         assert max(k for k in halvings if k is not None) >= 20
 
     @pytest.mark.parametrize("max_halvings", [1, 3])
-    def test_max_halvings_is_honoured(self, max_halvings):
+    def test_max_halvings_is_honoured(self, max_halvings, monkeypatch):
         link = get_link("uniform")
-        opts = FitOptions(max_halvings=max_halvings)
+        monkeypatch.setattr(mle, "_MAX_HALVINGS", max_halvings)
         ds = gen_overlapping(30, 2, 4)
         xt = extended_design(ds).xt
         theta = np.array([0.5, 0.0, 0.0])
-        f = mle._loglik(xt, ds.y, link, theta)
-        g = mle._derivatives(xt, ds.y, link, theta)[0]
+        point = mle._evaluate(xt, ds.y, link, theta)
+        f, g = point.loglik, point.derivatives(xt, ds.y, link)[0]
         outcomes = []
         # steps of the gradient whose first passing halving is 0, 1, ..., 11
         for scale in 2.0 ** np.arange(-8, 7):
             outcomes.append(self.compare(xt, ds.y, link, theta, f, scale * g,
-                                         scale * float(g @ g), opts))
+                                         scale * float(g @ g)))
         assert None in outcomes
         assert max(k for k in outcomes if k is not None) == max_halvings - 1
 
@@ -603,14 +615,14 @@ class TestBatchedLineSearch:
         ds = gen_overlapping(40, 3, 5)
         xt = extended_design(ds).xt
         theta = np.array([0.5, 0.0, 0.0, 0.0])
-        f = mle._loglik(xt, ds.y, link, theta)
-        g = mle._derivatives(xt, ds.y, link, theta)[0]
+        point = mle._evaluate(xt, ds.y, link, theta)
+        f, g = point.loglik, point.derivatives(xt, ds.y, link)[0]
         direction = 1e6 * g  # step 1 and most halvings leave the support
         shapes = record_shapes(monkeypatch, link)
-        k = self.compare(xt, ds.y, link, theta, f, direction, float(g @ direction), FitOptions())
+        k = self.compare(xt, ds.y, link, theta, f, direction, float(g @ direction))
         assert k is not None and k >= 10
         batched = [s for s in shapes if len(s) == 2]
-        assert batched[0] == (FitOptions().max_halvings - 1, 40)
+        assert batched[0] == (mle._MAX_HALVINGS - 1, 40)
         # step 1, one block, the k + 1 steps of the reference, then the
         # fresh evaluation that checks the returned record
         assert len(shapes) == 1 + 1 + (k + 1) + 1
@@ -736,14 +748,13 @@ UNIFORM = get_link("uniform")
 
 def newton_alone(ds, link, opts=None):
     """The fit as plain Newton from fit's start on fit's standardized
-    design: (last iterate, flag, trace, design)."""
+    design: (last iterate, flag, history, design)."""
+    opts = opts or FitOptions()
     dm = extended_design(ds)
-    xt = dm.xt
-    theta = np.zeros(ds.d + 1)
-    theta[0] = link.inverse(ds.n1 / ds.n)
-    trace = mle._Trace()
-    point, flag = mle._newton(xt, ds.y, link, theta, opts or FitOptions(), trace)
-    return point, flag, trace, dm
+    start = mle._evaluate(dm.xt, ds.y, link, fit_start(ds, link))
+    history = []
+    point, flag, _ = mle._newton(dm.xt, ds.y, link, start, history, opts.tol, opts.max_iter)
+    return point, flag, history, dm
 
 
 def uniform_stalls(seeds, max_n=40):
@@ -828,12 +839,12 @@ class TestKinkAscent:
 
         monkeypatch.setattr(mle, "_face_step", recording)
         fr = fit(ds, UNIFORM)
-        point, flag, trace, dm = newton_alone(ds, UNIFORM)
+        point, flag, history, dm = newton_alone(ds, UNIFORM)
         assert singular == [True] and flag == "maxiter"
         assert fr.status == "MaxIterations" and fr.caveat is None
         assert bits(fr.params.beta) == bits(dm.to_raw(point.theta)[1:])
         assert bits(fr.loglik) == bits(point.loglik)
-        assert (fr.iterations, fr.history) == (trace.iterations, tuple(trace.history))
+        assert (fr.iterations, fr.history) == (len(history), tuple(history))
 
     def test_a_failed_factorization_ends_as_newton_alone(self, monkeypatch):
         def fail(*args):
@@ -851,12 +862,12 @@ class TestKinkAscent:
         opts = FitOptions(max_iter=max_iter)
         for ds, _ in uniform_stalls(range(12)):
             fr = fit(ds, UNIFORM, opts)
-            point, flag, trace, dm = newton_alone(ds, UNIFORM, opts)
+            point, flag, history, dm = newton_alone(ds, UNIFORM, opts)
             assert fr.status == mle._STATUS[flag]
             assert bits(fr.params.alpha) == bits(dm.to_raw(point.theta)[0])
             assert bits(fr.score_norm) == bits(np.max(np.abs(point.derivatives(
                 dm.xt, ds.y, UNIFORM)[0])))
-            assert (fr.iterations, fr.history) == (trace.iterations, tuple(trace.history))
+            assert (fr.iterations, fr.history) == (len(history), tuple(history))
 
     def test_unbounded_links_and_other_paths_never_take_over(self, monkeypatch):
         def refuse(*args):
@@ -892,8 +903,8 @@ class TestKinkAscent:
         steps, ascending = [], []
         armijo_step, kink_ascent = mle._armijo_step, mle._kink_ascent
 
-        def recording(xt, y, link, theta, f, direction, slope, opts):
-            accepted = armijo_step(xt, y, link, theta, f, direction, slope, opts)
+        def recording(xt, y, link, theta, f, direction, slope):
+            accepted = armijo_step(xt, y, link, theta, f, direction, slope)
             if ascending:
                 steps.append((xt @ theta, accepted.z))
             return accepted
@@ -920,9 +931,8 @@ class TestKinkAscent:
     def test_a_certificate_below_newtons_best_is_refused(self):
         ds, stalled = next(uniform_stalls(range(60)))
         xt = extended_design(ds).xt
-        opts = FitOptions()
-        assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, stalled.loglik, opts) is not None
-        assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, 0.0, opts) is None
+        assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, stalled.loglik) is not None
+        assert mle._kink_ascent(xt, ds.y, UNIFORM, stalled, 0.0) is None
 
     def test_certificate_rejects_a_point_off_the_maximizer(self):
         ds, stalled = next(uniform_stalls(range(60)))
@@ -951,9 +961,9 @@ def count_ascent_directions(monkeypatch):
 def newton_then_march_loglik(ds, link, report):
     """The log likelihood of the tied-row route: 25 Newton iterations from
     fit's start, then the march along the report's direction."""
-    point, _, trace, dm = newton_alone(ds, link, FitOptions(max_iter=25))
+    point, _, history, dm = newton_alone(ds, link, FitOptions(max_iter=25))
     gamma = dm.to_standardized(report.direction)
-    return mle._march_to_divergence(dm.xt, ds.y, link, point, gamma, FitOptions(), trace).loglik
+    return mle._march_to_divergence(dm.xt, ds.y, link, point, gamma, history).loglik
 
 
 class TestStrictSeparation:
@@ -1044,11 +1054,11 @@ class TestMarchLanding:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_strict_fit_takes_two_link_calls(self, name, bound, monkeypatch):
         link = get_link(name)
-        opts = FitOptions(diverge_bound=bound)
+        monkeypatch.setattr(mle, "DIVERGE_BOUND", bound)
         for ds in (gen_separated(40, 3, 2), read_csv(DATA / "separated_pivot_livelock.csv")):
             report = cone_overlap(extended_design(ds), ds.y)
             calls = count_log_terms(monkeypatch, link)
-            fr = fit(ds, link, opts, overlap=report)
+            fr = fit(ds, link, overlap=report)
             # the start's log likelihood, then the landing iterate's
             assert fr.status == DIVERGED and len(calls) == 2
             assert fr.iterations == 1 and len(fr.history) == 1
@@ -1066,11 +1076,10 @@ class TestMarchLanding:
             dm = extended_design(ds)
             gamma = dm.to_standardized(cone_overlap(dm, ds.y).direction)
             start = mle._evaluate(dm.xt, ds.y, link, fit_start(ds, link))
-            landing = mle._march_to_divergence(dm.xt, ds.y, link, start, gamma, FitOptions(),
-                                               mle._Trace())
-            theta = doubling_landing(start.theta, gamma, FitOptions().diverge_bound)
+            landing = mle._march_to_divergence(dm.xt, ds.y, link, start, gamma, [])
+            theta = doubling_landing(start.theta, gamma, mle.DIVERGE_BOUND)
             assert bits(landing.theta) == bits(theta)
-            assert bits(landing.loglik) == bits(mle._loglik(dm.xt, ds.y, link, theta))
+            assert bits(landing.loglik) == bits(loglik(dm.xt, ds.y, link, theta))
 
     @pytest.mark.parametrize("name", CERTIFIED_NAMES)
     def test_failed_landing_marches_step_by_step(self, name, monkeypatch):
@@ -1080,16 +1089,55 @@ class TestMarchLanding:
         ds = gen_separated(30, 2, 3)
         dm = extended_design(ds)
         gamma = dm.to_standardized(cone_overlap(dm, ds.y).direction)
-        opts = FitOptions()
         start = mle._evaluate(dm.xt, ds.y, link, fit_start(ds, link))
-        theta = doubling_landing(start.theta, -gamma, opts.diverge_bound)
+        theta = doubling_landing(start.theta, -gamma, mle.DIVERGE_BOUND)
         f = start.loglik
         floor = f - 1e-9 * (1.0 + abs(f))
-        assert not mle._loglik(dm.xt, ds.y, link, theta) >= floor
+        assert not loglik(dm.xt, ds.y, link, theta) >= floor
         calls = count_log_terms(monkeypatch, link)
-        trace = mle._Trace()
-        point = mle._march_to_divergence(dm.xt, ds.y, link, start, -gamma, opts, trace)
+        history = []
+        point = mle._march_to_divergence(dm.xt, ds.y, link, start, -gamma, history)
         assert len(calls) > 2
         assert point.loglik >= floor
-        assert np.linalg.norm(point.theta[1:]) <= opts.diverge_bound
-        assert trace.history == [] or min(trace.history) >= floor
+        assert np.linalg.norm(point.theta[1:]) <= mle.DIVERGE_BOUND
+        assert history == [] or min(history) >= floor
+
+
+class TestMultistart:
+    """A non-log-concave fit reports the best of its single-start Newton
+    runs, ranked by (converged, log likelihood), bit for bit: its point,
+    iterations and history. The first run starts from fit's own start, the
+    others move one coordinate of it by +-2, +-4, ... in turn."""
+
+    @staticmethod
+    def starts(theta0, count):
+        dim = theta0.size
+        moves = [(axis, sign * 2.0 * size) for size in (1, 2, 3) for sign in (1.0, -1.0)
+                 for axis in range(dim)]
+        pts = [theta0]
+        for axis, move in moves[:count - 1]:
+            pts.append(theta0.copy())
+            pts[-1][axis] += move
+        return pts
+
+    @pytest.mark.parametrize("ds, winner", [(gen_overlapping(36, 2, 4), 1),
+                                            (make_ds([1, 3, 2, 4], [0, 0, 1, 1]), 0)])
+    def test_fit_reports_the_best_single_start_run(self, ds, winner):
+        link = get_link("cauchit")
+        dm = extended_design(ds)
+        runs = []
+        opts = FitOptions()
+        for theta in self.starts(fit_start(ds, link), 7):
+            start, history = mle._evaluate(dm.xt, ds.y, link, theta), []
+            point, flag, _ = mle._newton(dm.xt, ds.y, link, start, history, opts.tol, opts.max_iter)
+            runs.append(((flag == "converged", point.loglik), point, history))
+        best = max(range(len(runs)), key=lambda k: runs[k][0])
+        _, point, history = runs[best]
+        fr = fit(ds, link)
+        # which start wins is decided in the last digits of the log likelihood
+        assert best == winner
+        assert len({len(h) for _, _, h in runs}) > 1
+        assert bits(dm.to_raw(point.theta)) == bits(np.concatenate([[fr.params.alpha],
+                                                                   fr.params.beta]))
+        assert bits(fr.loglik) == bits(point.loglik)
+        assert (fr.iterations, fr.history) == (len(history), tuple(history))

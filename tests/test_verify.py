@@ -223,6 +223,20 @@ class TestGenerators:
         with pytest.raises(GenerationFailure):
             gen_overlapping(3, 2, 1)
 
+    @pytest.mark.parametrize("generate", [
+        lambda: gen_separated(5, 0, 1),
+        lambda: gen_separated(1, 2, 1),
+        lambda: gen_gaussian(0, [0.0], [1.0], 1.0, 1),
+        lambda: gen_gaussian(1, [0.0], [1.0], 1.0, 1),
+        lambda: gen_gaussian(20, [0.0], [1.0], -1.0, 1),
+        lambda: gen_gaussian(20, [0.0], [1.0], math.inf, 1),
+        lambda: gen_gaussian(20, [0, 0], [1, 1], np.array([[1.0, math.nan], [0.0, 1.0]]), 1),
+    ])
+    def test_impossible_draws_are_refused(self, generate):
+        # d = 0 and n = 0 ended in an IndexError; a negative scale was used
+        with pytest.raises(GenerationFailure):
+            generate()
+
     def test_gaussian_shape_and_sign_property(self):
         mu0, mu1 = np.zeros(2), np.array([1.0, 0.0])
         ds = gen_gaussian(2000, mu0, mu1, 1.0, 2024)
