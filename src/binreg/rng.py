@@ -37,7 +37,11 @@ class CounterRng:
     def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """The next ``count`` draws of ``uniform(lo, hi)`` as an array, bit
         for bit: the same SplitMix64 steps on uint64 counters (which wrap
-        mod 2**64 as ``_MASK64`` does) and the same IEEE operations."""
+        mod 2**64 as ``_MASK64`` does) and the same IEEE operations. A
+        negative ``count`` is refused: it would move the counter back, so
+        later draws would replay earlier ones."""
+        if count < 0:
+            raise ValueError(f"count must be at least 0, got {count}")
         k = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
         z = np.uint64(self._seed) + k * np.uint64(_GOLDEN)

@@ -203,8 +203,8 @@ def _gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500):
     """``gen_overlapping``'s dataset and the Overlap report that accepted it,
     which a suite trial passes to ``fit`` so the cone program is solved and
     the design built and ranked once (the report carries the design)."""
-    if n < d + 2:
-        raise GenerationFailure(f"need n >= d+2 to overlap, got n={n}, d={d}")
+    if d < 1 or n < d + 2:
+        raise GenerationFailure(f"need d >= 1 and n >= d+2 to overlap, got n={n}, d={d}")
     rng = CounterRng(seed)
     for _ in range(max_tries):
         x = rng.uniforms(n * d, -2.0, 2.0).reshape(n, d)

@@ -375,6 +375,48 @@ class TestProcessState:
             assert warnings.filters == filters
 
 
+# The benchmark's setup code, then `binreg overlap` and `binreg fit` for every
+# link but probit on one CSV, then probit: prints the scipy modules loaded
+# after each stage and probit's exit code and stdout
+COLD_START = """
+import contextlib, io, json, sys
+import binreg, binreg.cli; binreg.cli.build_parser()
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = binreg.cli.main(list(argv))
+    return code, out.getvalue()
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+csv = sys.stdin.read()
+seen = {"setup": scipy_modules()}
+codes = [run("overlap", "--csv", csv)[0]]
+codes += [run("fit", "--csv", csv, "--link", link)[0]
+          for link in ("logit", "cloglog", "uniform", "cauchit")]
+seen["other links"] = scipy_modules()
+probit = run("fit", "--csv", csv, "--link", "probit")
+seen["probit"] = scipy_modules()
+print(json.dumps({"seen": seen, "codes": codes, "probit": probit}))
+"""
+
+
+class TestColdStart:
+    def test_only_probit_loads_scipy(self, fresh_python):
+        # scipy.special was half of a `binreg` launch's import time; only the
+        # probit link needs it
+        path = DATA / "offset_overlapping_d2.csv"
+        got = json.loads(fresh_python(COLD_START, str(path)))
+        assert got["seen"]["setup"] == [] and got["seen"]["other links"] == []
+        assert got["codes"] == [0] * 5
+        assert "scipy.special" in got["seen"]["probit"]
+        code, out = got["probit"]
+        line = json.dumps({"case": f"{path.name} probit", "code": code, "stdout": out}) + "\n"
+        assert line in FIT_GOLDEN.read_text().splitlines(keepends=True)
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--csv", "/does/not/exist.csv")
@@ -426,6 +468,19 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "balanced", "--d", "-1", "--n", "5"),
+        ("--kind", "overlapping", "--d", "0"),
+        ("--kind", "balanced", "--d", "0"),
+    ])
+    def test_overlapping_kinds_need_a_predictor(self, capsys, flags):
+        # d = -1 ended in an OverflowError traceback from the draws, and d = 0
+        # in a shape error that named neither --d nor the generator
+        code, out, err = run_cli(capsys, "simulate", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "d >= 1" in err and "Traceback" not in err
 
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--nope")

@@ -1,9 +1,10 @@
+import json
 import math
 from decimal import Context, Decimal
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
+from scipy import special
 
 from binreg import (GridSpec, LinkFamily, OutOfRange, certify_log_concavity,
                     get_link)
@@ -182,7 +183,7 @@ class TestLogTerms:
     def test_probit_log_sf_is_the_removed_form(self):
         # the form Probit.log_sf had before it was inherited as log_cdf(-z)
         z = special_and_random_values(29)
-        assert same_bits(get_link("probit").log_sf(z), log_ndtr(-np.asarray(z, dtype=float)))
+        assert same_bits(get_link("probit").log_sf(z), special.log_ndtr(-np.asarray(z, dtype=float)))
 
     def test_cauchit_log_sf_is_the_removed_form(self):
         # the form Cauchit.log_sf had before it was inherited
@@ -190,6 +191,64 @@ class TestLogTerms:
         z = special_and_random_values(31)
         with np.errstate(all="ignore"):
             assert same_bits(link.log_sf(z), link.log_cdf(-np.asarray(z, dtype=float)))
+
+
+def probit_arguments():
+    """z: ``special_and_random_values`` and +-40, where ndtr rounds to 0 or
+    1 but log_ndtr stays finite. p: the subnormal and near-1 edges of (0, 1)
+    and a random sample."""
+    z = np.concatenate([special_and_random_values(37), [40.0, -40.0]])
+    p = np.concatenate([[5e-324, 1e-310, 2.0 ** -1022, 1e-300, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                        np.random.default_rng(41).uniform(size=500)])
+    return z, p
+
+
+def scipy_probit(z, p):
+    return {"cdf": special.ndtr(z), "log_cdf": special.log_ndtr(z),
+            "log_sf": special.log_ndtr(-z), "inverse": special.ndtri(p)}
+
+
+# Calls Probit's four scipy-backed methods in a new interpreter, the named one
+# first, so that the call that imports scipy.special is the one checked.
+# Reads [first, z hex, p hex] and prints each method's float64 bytes in hex.
+PROBIT_FIRST_CALL = """
+import json, sys
+import numpy as np
+from binreg import get_link
+first, z, p = json.load(sys.stdin)
+z, p = np.frombuffer(bytes.fromhex(z)), np.frombuffer(bytes.fromhex(p))
+probit = get_link("probit")
+calls = {"cdf": lambda: probit.cdf(z), "log_cdf": lambda: probit.log_cdf(z),
+         "log_sf": lambda: probit.log_sf(z),
+         "inverse": lambda: np.array([probit.inverse(float(q)) for q in p])}
+assert "scipy.special" not in sys.modules
+out = {first: calls[first]()}
+assert "scipy.special" in sys.modules
+out.update((name, call()) for name, call in calls.items() if name != first)
+print(json.dumps({name: np.asarray(v, dtype=float).tobytes().hex() for name, v in out.items()}))
+"""
+
+
+class TestProbitIsScipy:
+    """Probit's cdf, log_cdf, log_sf and inverse are scipy.special's ndtr,
+    log_ndtr at +-z and ndtri, bit for bit, including the call on which
+    ``links`` first imports scipy.special."""
+
+    def test_in_process(self):
+        z, p = probit_arguments()
+        probit = get_link("probit")
+        got = {"cdf": probit.cdf(z), "log_cdf": probit.log_cdf(z), "log_sf": probit.log_sf(z),
+               "inverse": [probit.inverse(float(q)) for q in p]}
+        for name, want in scipy_probit(z, p).items():
+            assert same_bits(got[name], want), name
+
+    @pytest.mark.parametrize("first", ["cdf", "log_cdf", "log_sf", "inverse"])
+    def test_first_call_in_a_fresh_interpreter(self, fresh_python, first):
+        z, p = probit_arguments()
+        out = json.loads(fresh_python(PROBIT_FIRST_CALL,
+                                      json.dumps([first, z.tobytes().hex(), p.tobytes().hex()])))
+        for name, want in scipy_probit(z, p).items():
+            assert same_bits(np.frombuffer(bytes.fromhex(out[name])), want), name
 
 
 class TestDensity:

@@ -60,6 +60,20 @@ def test_uniforms_replays_the_scalar_stream(seed, lo, hi):
         assert batched.normal() == scalar.normal()
 
 
+def test_negative_count_is_refused():
+    # uniforms(-5) after 10 draws moved the counter back to 5, so the next
+    # draws replayed earlier ones
+    rng, scalar = CounterRng(9), CounterRng(9)
+    rng.uniforms(10)
+    for _ in range(10):
+        scalar.uniform()
+    for count in (-1, -5, -11):
+        with pytest.raises(ValueError):
+            rng.uniforms(count)
+    assert rng.uniforms(0).shape == (0,)
+    assert rng.u64() == scalar.u64()
+
+
 @pytest.mark.parametrize("argv", sorted(SIMULATE))
 def test_simulate_output_is_pinned(argv, capsys):
     assert main(["simulate", *argv]) == 0

@@ -231,9 +231,13 @@ class TestGenerators:
         lambda: gen_gaussian(20, [0.0], [1.0], -1.0, 1),
         lambda: gen_gaussian(20, [0.0], [1.0], math.inf, 1),
         lambda: gen_gaussian(20, [0, 0], [1, 1], np.array([[1.0, math.nan], [0.0, 1.0]]), 1),
+        lambda: gen_overlapping(40, 0, 1),
+        lambda: gen_overlapping(5, -1, 1),
+        lambda: gen_balanced(5, -1, 1),
     ])
     def test_impossible_draws_are_refused(self, generate):
-        # d = 0 and n = 0 ended in an IndexError; a negative scale was used
+        # d = 0 and n = 0 ended in an IndexError or a shape error, d = -1 in an
+        # OverflowError; a negative scale was used
         with pytest.raises(GenerationFailure):
             generate()
 
