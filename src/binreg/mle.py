@@ -183,6 +183,9 @@ def _weights(point: _Evaluation, y, link):
         w = np.where(y == 1, e, -e)
         # for a failure, -e * (slope + e), in the same roundings
         dw = w * (slope - w)
+    # e underflows to 0 where the slope runs to -inf (cloglog far right of
+    # a success): 0 * -inf is NaN, and the product's limit there is 0
+    dw = np.where((w == 0) & np.isnan(dw), 0.0, dw)
     return w, dw
 
 
@@ -217,8 +220,8 @@ def _ascent_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _hessian_condition(H: np.ndarray) -> float:
-    # far along a separating direction some links' weight derivatives are
-    # 0 * inf; the curvature is then unknown, not an eigenvalue failure
+    # a Hessian that is not finite (an overflow) has unknown curvature,
+    # which is not an eigenvalue failure
     if not np.all(np.isfinite(H)):
         return math.inf
     evals = np.abs(np.linalg.eigvalsh(H))

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BinregError, Dataset, DesignMatrix
-from .simplex import LPNumericalFailure, solve_lp
+from .simplex import _TIE_TOL, LPNumericalFailure, solve_lp
 
 OVERLAP = "Overlap"
 SEPARATED = "Separated"
@@ -132,40 +132,36 @@ def scalar_overlap(ds: Dataset) -> OverlapReport:
 
 
 def _cone_program(xp: np.ndarray, xn: np.ndarray):
-    """Solve the cone program on the y=1 rows ``xp`` and y=0 rows ``xn``."""
+    """(c, A, b) of the cone program on the y=1 rows ``xp``, y=0 rows ``xn``."""
     npos, cols = xp.shape
     n = npos + xn.shape[0]
 
-    # variables: u_i = k_i - t (y=1), v_j = m_j - t (y=0), t = tp - tm
-    A = np.zeros((cols + 1, n + 2))
+    # variables: u_i = k_i - t (y=1), v_j = m_j - t (y=0), s = 1/n - t;
+    # the n weights sum to one and are all >= t, so t <= 1/n and s >= 0
+    A = np.zeros((cols + 1, n + 1))
     A[:cols, :npos] = xp.T
     A[:cols, npos:n] = -xn.T
     t_col = xp.sum(axis=0) - xn.sum(axis=0)
-    A[:cols, -2] = t_col
-    A[:cols, -1] = -t_col
+    A[:cols, n] = -t_col
     A[cols, :n] = 1.0
-    A[cols, -2] = n
-    A[cols, -1] = -n
+    A[cols, n] = -n
     b = np.zeros(cols + 1)
-    b[cols] = 1.0
-    c = np.zeros(n + 2)
-    c[-2] = -1.0
-    c[-1] = 1.0
-
-    result = solve_lp(c, A, b)
-    if result.status == "unbounded":
-        raise LPNumericalFailure("cone program reported unbounded; margin is capped at 1/n")
-    return result
+    b[:cols] = -t_col / n
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    return c, A, b
 
 
 def _cone_report(dm: DesignMatrix, y: np.ndarray) -> OverlapReport:
     xp = np.compress(y == 1, dm.xt, axis=0)  # several times faster than xt[y == 1]
     xn = np.compress(y == 0, dm.xt, axis=0)
-    result = _cone_program(xp, xn)
+    result = solve_lp(*_cone_program(xp, xn))
     # intercept plus one predictor: the sign of the diverging slope
     hint = _direction_hint(_bounds(dm.x[:, 0], y)) if dm.x.shape[1] == 1 else None
 
-    t_star = 0.0 if result.status == "infeasible" else float(result.x[-2] - result.x[-1])
+    t_star = 0.0 if result.status == "infeasible" else 1.0 / len(y) - float(result.x[-1])
+    if abs(t_star) <= _TIE_TOL:
+        t_star = 0.0  # rounding residue of a tie, as for a basic value
     if t_star <= T_MIN:
         # the negated multipliers separate exactly when t* <= 0 or the
         # program is infeasible; they are posed on the standardized design
@@ -192,15 +188,16 @@ def cone_overlap(dm: DesignMatrix, y: np.ndarray) -> OverlapReport:
 
     The program is: maximize t subject to the y=1 and y=0 combinations being
     equal, all weights >= t, and weights summing to one, on the standardized
-    design ``dm.xt``. Overlap requires the optimum to exceed ``T_MIN``
-    strictly and the certificate residual to be at most ``RESIDUAL_MAX``; an
-    optimum of zero is quasi-separation and reported Separated. A Separated
-    report with t* <= 0 carries ``separating_direction``'s gamma in raw
-    predictor coordinates. Every report carries ``dm`` as ``design``.
+    design ``dm.xt``, posed as minimizing the slack s = 1/n - t >= 0. Overlap
+    requires the optimum to exceed ``T_MIN`` strictly and the certificate
+    residual to be at most ``RESIDUAL_MAX``; an optimum of zero is
+    quasi-separation and reported Separated. A Separated report with t* <= 0
+    carries ``separating_direction``'s gamma in raw predictor coordinates.
+    Every report carries ``dm`` as ``design``.
 
     Raises LPNumericalFailure if the program fails numerically (pivot
-    budget, unbounded, residual), except with one predictor, where the
-    interval test's report on the raw predictor is returned instead.
+    budget, residual), except with one predictor, where the interval test's
+    report on the raw predictor is returned instead.
     """
     y = np.asarray(y)
     x = dm.x

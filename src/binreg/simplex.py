@@ -2,16 +2,17 @@
 
 Solves  min c'x  s.t.  Ax = b, x >= 0  exactly enough for the one program
 this package builds: the cone feasibility LP of ``overlap``, with d+2 rows
-and one column per observation, highly degenerate. The entering column is
-the one with the most negative reduced cost (Dantzig's rule), which takes
-far fewer pivots on this program than the smallest eligible index; after a
-long run of degenerate pivots the solver switches to Bland's
-smallest-index rule, which cannot cycle (Bland 1977), until a pivot makes
-progress again. The solver keeps only B^-1 and the basic values, m x (m+1)
-numbers, and never forms B^-1 A: a pivot costs one m x (n+m) pricing
-product over the original columns, then O(m^2) work, instead of an update
-of every cell of an m x (n+m+1) tableau. The optimal simplex multipliers
-are returned too; ``overlap`` reads a separating direction off them.
+and n+1 columns, highly degenerate and bounded below, so a ray raises
+``LPNumericalFailure``. The entering column is the one with the most
+negative reduced cost (Dantzig's rule), which takes far fewer pivots on
+this program than the smallest eligible index; after a long run of
+degenerate pivots the solver switches to Bland's smallest-index rule,
+which cannot cycle (Bland 1977), until a pivot makes progress again. The
+solver keeps only B^-1 and the basic values, m x (m+1) numbers, and never
+forms B^-1 A: a pivot costs one m x (n+m) pricing product over the
+original columns, then O(m^2) work, instead of an update of every cell of
+an m x (n+m+1) tableau. The optimal simplex multipliers are returned too;
+``overlap`` reads a separating direction off them.
 """
 
 from __future__ import annotations
@@ -29,17 +30,17 @@ _DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule
 
 
 class LPNumericalFailure(BinregError):
-    """The solver exceeded its iteration budget or lost feasibility."""
+    """The solver exceeded its iteration budget, lost feasibility or met a ray."""
 
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray
     objective: float
     iterations: int
     # multipliers c_B B^-1: A'y <= c and b'y = objective when optimal; the
-    # phase-1 ones, A'y <= 0 and b'y > 0, when infeasible; NaN when unbounded
+    # phase-1 ones, A'y <= 0 and b'y > 0, when infeasible
     duals: np.ndarray
 
 
@@ -62,8 +63,8 @@ def _pivot(state: np.ndarray, basis: np.ndarray, row: int, entering: int,
 
 def _run_phase(state: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                price: np.ndarray, max_iter: int) -> int:
-    """Revised simplex on one phase; returns iterations used, or -1 when
-    the program is unbounded in the entering direction.
+    """Revised simplex on one phase; returns the iterations used. Raises
+    LPNumericalFailure past ``max_iter`` pivots or on an unbounded ray.
 
     ``state`` is [B^-1 | x_B] for the current ``basis``, updated in place.
     The columns of ``price`` are the ones eligible to enter, with costs
@@ -112,7 +113,7 @@ def _run_phase(state: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                     best_ratio = ratio
                     ratios_row = r
         if ratios_row < 0:
-            return -1  # unbounded in the entering direction
+            raise LPNumericalFailure("simplex found an unbounded ray")
         _pivot(state, basis, ratios_row, entering, column)
         iterations += 1
         degenerate = degenerate + 1 if best_ratio <= _TIE_TOL else 0
@@ -140,8 +141,6 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray,
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     used = _run_phase(state, basis, phase1_cost, np.hstack([A, np.eye(m)]), max_iter)
-    if used < 0:
-        raise LPNumericalFailure("phase-1 reported unbounded")
     infeasibility = float(phase1_cost[basis] @ state[:, -1])
     if infeasibility > 1e-9:
         return LPResult("infeasible", np.full(n, np.nan), np.nan, used,
@@ -163,8 +162,6 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray,
 
     # every artificial has left the basis, so phase 2 prices A alone
     used2 = _run_phase(state, basis, c, A, max_iter)
-    if used2 < 0:
-        return LPResult("unbounded", np.full(n, np.nan), -np.inf, used, np.full(m, np.nan))
 
     # B^-1 a_q is formed afresh each pivot, so a degenerate basic value can
     # come out as rounding residue; within the ratio test's tie tolerance

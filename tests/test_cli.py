@@ -21,6 +21,17 @@ LIVELOCK = DATA / "separated_pivot_livelock.csv"
 OFFSET_SEPARATED = DATA / "offset_separated_d1.csv"
 OFFSET_OVERLAPPING = DATA / "offset_overlapping_d2.csv"
 
+# 12 nearly collinear rows (design singular values 0.019 and 3.46) whose
+# groups overlap with cone margin 0.0781; posed with a free margin split as
+# tp - tm, the cone program priced tm below its cost tolerance at the
+# optimum and was reported unbounded, so `overlap` and every `fit` exited 1
+LPFAIL = DATA / "lpfail.csv"
+
+# 12 overlapping rows on which a cloglog Newton step lands a success row at
+# z = 736: its score weight underflows to 0 while the link's slope is -inf,
+# and the Hessian weight 0 * -inf once made the Hessian NaN
+CLOGLOG_NAN = DATA / "cloglog_nan.csv"
+
 # y = 0 at linspace(-1, 1, 20), y = 1 at the same grid + 1.5 and one y = 1
 # outlier at x = -100: the uniform maximizer holds a row on the edge of the
 # support, and cauchit's slope has the wrong sign
@@ -41,6 +52,11 @@ VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 # and the fit, and pin that sharing one design moved nothing. When the march
 # came to evaluate only its landing iterate, only the iterations field of 18
 # --force lines moved (strict fits 18 or 19 -> 1, tied fits 18 fewer).
+# Posing the cone program with a margin slack moved 29 lines in rounding
+# digits only (overlap margin and residual, alpha and beta by at most
+# 8.3e-16 relative, score_norm, and hessian_condition where it is above
+# 1e16); zeroing cloglog's 0 * -inf Hessian weight turned the null
+# hessian_condition of the two quasi-separated cloglog --force lines finite.
 # Regenerated only by a change that moves fit outputs on purpose
 FIT_GOLDEN = DATA / "fit_golden.json"
 GOLDEN_CSVS = ("quasi_separated_tie.csv", "quasi_separated_tie_pivots.csv",
@@ -183,6 +199,23 @@ class TestFitCommand:
         assert payload["score_norm"] <= 1e-8
         assert payload["caveat"].startswith("maximizer at a kink: 1 row held")
 
+    @pytest.mark.parametrize("link", ["logit", "probit", "cloglog", "cauchit", "uniform"])
+    def test_near_collinear_overlapping_set_fits(self, capsys, link):
+        code, out, err = run_cli(capsys, "fit", "--csv", str(LPFAIL), "--link", link)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["overlap"]["verdict"] == "Overlap"
+        assert payload["status"] == "Converged"
+
+    def test_cloglog_step_to_a_far_right_success_converges(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--csv", str(CLOGLOG_NAN), "--link", "cloglog")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["status"] == "Converged"
+        assert payload["score_norm"] <= 1e-8
+        assert payload["loglik"] == pytest.approx(-5.315013930228894, abs=1e-9)
+        assert np.isfinite(payload["hessian_condition"])
+
     def test_json_out_file(self, capsys, csvs, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run_cli(capsys, "fit", "--csv", csvs["olap"], "--json-out", str(target))
@@ -274,6 +307,14 @@ class TestOverlapCommand:
         payload = json.loads(out)
         assert payload["verdict"] == "Separated"
         assert payload["margin"] == 0.0
+
+    def test_near_collinear_overlapping_set_overlaps(self, capsys):
+        code, out, err = run_cli(capsys, "overlap", "--csv", str(LPFAIL))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["verdict"] == "Overlap"
+        # an independent solver (HiGHS) gives t* = 0.0781334556107059
+        assert payload["margin"] == pytest.approx(0.0781334556107059, abs=1e-12)
 
     def test_overlap_scalar_method(self, capsys, csvs):
         code, out, _ = run_cli(capsys, "overlap", "--csv", csvs["olap"], "--method", "scalar")

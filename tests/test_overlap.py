@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 import binreg.overlap
 from binreg import (DEGENERATE, OVERLAP, SEPARATED, DimensionError,
@@ -11,7 +12,7 @@ from binreg import (DEGENERATE, OVERLAP, SEPARATED, DimensionError,
                     cone_overlap, dataset_from_arrays, extended_design,
                     gen_overlapping, gen_separated, scalar_overlap,
                     separating_direction)
-from binreg.overlap import METHOD_CONE, METHOD_SCALAR, _interval_report
+from binreg.overlap import METHOD_CONE, METHOD_SCALAR, T_MIN, _interval_report
 
 
 def make_ds(x, y):
@@ -138,6 +139,26 @@ class TestIntervalReport:
         assert list(rep.direction) == [2.5, -1.0]
 
 
+def reference_margin(xt, y):
+    """The cone program's optimum t* by an independent solver, posed with
+    t free: maximize t over weights k_i >= t whose signed combination of
+    the rows of ``xt`` is zero and which sum to one. None if infeasible."""
+    n, cols = xt.shape
+    signed = np.where(y == 1, 1.0, -1.0)[:, None] * xt
+    A_eq = np.vstack([np.hstack([signed.T, np.zeros((cols, 1))]),
+                      np.concatenate([np.ones(n), [0.0]])])
+    b_eq = np.concatenate([np.zeros(cols), [1.0]])
+    A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])  # t - k_i <= 0
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    ref = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+                  bounds=(None, None), method="highs")
+    if ref.status == 2:
+        return None
+    assert ref.status == 0, ref.message
+    return -ref.fun
+
+
 def brute_force_common_cone_point(ds, grid=np.linspace(0.1, 1.0, 10)):
     """Search small weight grids for a common point of the two open cones.
 
@@ -250,6 +271,39 @@ class TestCone:
                     assert shifted.method == METHOD_CONE
                     if shifted.certificate is not None:
                         assert shifted.certificate.residual <= 1e-8
+
+    def test_near_collinear_sets_match_reference_solver(self):
+        """Points on a random line plus noise of scale 10^U(-4, 0): a design
+        with a tiny singular value, where the free margin's split into
+        tp - tm once priced a bounded program unbounded. Verdict and margin
+        agree with an independent solver."""
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n, d = int(rng.integers(6, 41)), int(rng.integers(2, 4))
+            x = (rng.normal(size=d) + np.outer(rng.normal(size=n), rng.normal(size=d))
+                 + 10.0 ** rng.uniform(-4, 0) * rng.normal(size=(n, d)))
+            y = (rng.random(n) < 0.5).astype(int)
+            if y.min() == y.max():
+                continue
+            dm = extended_design(make_ds(x, y))
+            report = cone_overlap(dm, y)
+            t = reference_margin(dm.xt, y)
+            assert report.verdict == (OVERLAP if t is not None and t > T_MIN else SEPARATED)
+            assert report.margin == pytest.approx(max(t or 0.0, 0.0), abs=1e-10)
+
+    def test_exact_ties_report_margin_zero_and_a_direction(self):
+        """A point in both groups of otherwise separated data: t* is exactly
+        0, so rounding residue of the optimum must not read as a positive
+        margin, which would drop the separating direction."""
+        for seed in range(600):
+            rng = np.random.default_rng(seed)
+            d = 1 + seed % 3
+            ds = tied_separated(rng, int(rng.integers(8, 61)), d)
+            scale, offset = 10.0 ** rng.uniform(-3, 3), rng.uniform(-1e3, 1e3, size=d)
+            report = cone_of(make_ds(scale * ds.x + offset, ds.y))
+            assert report.verdict == SEPARATED and report.method == METHOD_CONE
+            assert report.margin == 0.0
+            assert report.direction is not None
 
     @given(
         seed=st.integers(0, 10_000),
