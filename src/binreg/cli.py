@@ -25,6 +25,8 @@ SCHEMA = 1
 
 SIGN_LINKS = ("logit", "probit", "cloglog")
 CERTIFIED_LINKS = ("logit", "probit", "cloglog", "uniform")
+# the links `verify --link certified` runs each theorem's suite on
+_VERIFY_LINKS = {"sign": SIGN_LINKS, "zero": CERTIFIED_LINKS, "angle": CERTIFIED_LINKS}
 
 
 class _UsageError(Exception):
@@ -85,7 +87,7 @@ def _report_dict(report) -> dict:
         out["bounds"] = {"L0": b.L0, "U0": b.U0, "L1": b.L1, "U1": b.U1}
     if report.certificate is not None:
         out["certificate"] = {
-            "margin": report.certificate.margin,
+            "margin": report.margin,
             "residual": report.certificate.residual,
         }
     return out
@@ -128,7 +130,7 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    theorems = ["sign", "zero", "angle"] if args.theorem == "all" else [args.theorem]
+    theorems = list(_VERIFY_LINKS) if args.theorem == "all" else [args.theorem]
     dims = tuple(int(v) if v.strip().isdecimal() else 0 for v in args.dims.split(","))
     # a suite of no trials checks nothing, and d = 0 has no predictor
     if args.trials < 1:
@@ -137,19 +139,15 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--dims takes integers of at least 1, got {args.dims}")
     results = []
     for theorem in theorems:
-        if theorem == "sign":
-            names = SIGN_LINKS if args.link == "certified" else (args.link,)
-            for name in names:
-                results.append(run_sign_suite(get_link(name), args.trials, args.seed))
-        elif theorem == "zero":
-            names = CERTIFIED_LINKS if args.link == "certified" else (args.link,)
-            for name in names:
-                results.append(run_zero_suite(get_link(name), args.trials, args.seed))
-        else:
-            names = CERTIFIED_LINKS if args.link == "certified" else (args.link,)
-            for name in names:
-                for d in dims:
-                    results.append(run_angle_suite(get_link(name), d, args.trials, args.seed))
+        names = _VERIFY_LINKS[theorem] if args.link == "certified" else (args.link,)
+        for name in names:
+            link = get_link(name)
+            if theorem == "sign":
+                results.append(run_sign_suite(link, args.trials, args.seed))
+            elif theorem == "zero":
+                results.append(run_zero_suite(link, args.trials, args.seed))
+            else:
+                results.extend(run_angle_suite(link, d, args.trials, args.seed) for d in dims)
     total_failures = sum(r.failures for r in results)
     payload = {
         "schema": SCHEMA,

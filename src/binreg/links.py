@@ -46,7 +46,7 @@ class OutOfRange(BinregError):
 class LinkFamily:
     """Base contract for an inverse link G with density g = G'.
 
-    Subclasses provide vectorized cdf/pdf/log_cdf/log_sf/log_pdf and the
+    Subclasses provide vectorized cdf/log_cdf/log_sf/log_pdf and the
     log-density slope g'/g used for second derivatives. ``support`` is the
     open interval on which 0 < G < 1; unbounded by default. ``log_terms``
     gives the per-row log likelihood terms from these.
@@ -57,9 +57,6 @@ class LinkFamily:
     support: Tuple[float, float] = (-math.inf, math.inf)
 
     def cdf(self, z):
-        raise NotImplementedError
-
-    def pdf(self, z):
         raise NotImplementedError
 
     def log_cdf(self, z):
@@ -145,10 +142,6 @@ class Logit(_Symmetric):
         e = np.exp(-np.abs(z))
         return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def pdf(self, z):
-        p = self.cdf(z)
-        return p * (1.0 - p)
-
     def log_cdf(self, z):
         # log G(z) = min(z, 0) - log(1 + exp(-|z|)), whose exp cannot
         # overflow (Maechler 2012, "Accurately computing log(1 - exp(-|a|))")
@@ -175,10 +168,6 @@ class Probit(_Symmetric):
     def cdf(self, z):
         return _special().ndtr(np.asarray(z, dtype=float))
 
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.exp(-0.5 * z * z - _LOG_SQRT_2PI)
-
     def log_cdf(self, z):
         return _special().log_ndtr(np.asarray(z, dtype=float))
 
@@ -204,9 +193,6 @@ class Cloglog(LinkFamily):
         z = np.asarray(z, dtype=float)
         with np.errstate(over="ignore"):
             return -np.expm1(-np.exp(z))
-
-    def pdf(self, z):
-        return np.exp(self.log_pdf(z))
 
     def log_cdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -246,10 +232,6 @@ class Cauchit(_Symmetric):
         z = np.asarray(z, dtype=float)
         return np.arctan(z) / math.pi + 0.5
 
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return 1.0 / (math.pi * (1.0 + z * z))
-
     def log_cdf(self, z):
         # for z << 0: arctan(z) + pi/2 = arctan(-1/z), avoiding cancellation
         z = np.asarray(z, dtype=float)
@@ -282,10 +264,6 @@ class UniformCdf(LinkFamily):
 
     def cdf(self, z):
         return np.clip(np.asarray(z, dtype=float), 0.0, 1.0)
-
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where((z > 0.0) & (z < 1.0), 1.0, 0.0)
 
     def log_cdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -327,13 +305,16 @@ def get_link(name: str) -> LinkFamily:
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling grid for the certificate: [lo, hi] in uniform steps, plus
-    finer local grids around finite support endpoints."""
+    a finer local grid (101 points 1e-3 apart) around each finite support
+    endpoint."""
 
     lo: float = -12.0
     hi: float = 12.0
     step: float = 1e-2
-    endpoint_step: float = 1e-3
-    endpoint_halfwidth: int = 50
+
+
+# midpoint-convexity defect a refutation must exceed
+_CONCAVITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -349,15 +330,14 @@ class ConcavityCertificate:
     max_violation_neg_log_sf: float
     verdict: str
     witness: Optional[tuple] = None
-    tolerance: float = 1e-9
+    tolerance: float = _CONCAVITY_TOL
 
 
 def _certificate_grid(link: LinkFamily, spec: GridSpec) -> np.ndarray:
     points = [np.arange(spec.lo, spec.hi + spec.step / 2, spec.step)]
     for endpoint in link.support:
         if math.isfinite(endpoint):
-            offsets = np.arange(-spec.endpoint_halfwidth, spec.endpoint_halfwidth + 1)
-            points.append(endpoint + offsets * spec.endpoint_step)
+            points.append(endpoint + np.arange(-50, 51) * 1e-3)
     grid = np.unique(np.concatenate(points))
     return grid
 
@@ -403,8 +383,8 @@ def _strictly_increasing_on_support(link: LinkFamily, grid: np.ndarray) -> bool:
     return bool(np.all(cdf_up | sf_down))
 
 
-def certify_log_concavity(link: LinkFamily, grid_spec: Optional[GridSpec] = None,
-                          tolerance: float = 1e-9) -> ConcavityCertificate:
+def certify_log_concavity(link: LinkFamily,
+                          grid_spec: Optional[GridSpec] = None) -> ConcavityCertificate:
     """Numerically certify or refute convexity of -log G and -log(1-G).
 
     Scans midpoint convexity on every equally spaced grid triple. Links
@@ -417,8 +397,8 @@ def certify_log_concavity(link: LinkFamily, grid_spec: Optional[GridSpec] = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         neg_log_cdf = -np.asarray(link.log_cdf(grid), dtype=float)
         neg_log_sf = -np.asarray(link.log_sf(grid), dtype=float)
-    worst_cdf, witness_cdf = _scan_midpoint_convexity(grid, neg_log_cdf, tolerance)
-    worst_sf, witness_sf = _scan_midpoint_convexity(grid, neg_log_sf, tolerance)
+    worst_cdf, witness_cdf = _scan_midpoint_convexity(grid, neg_log_cdf, _CONCAVITY_TOL)
+    worst_sf, witness_sf = _scan_midpoint_convexity(grid, neg_log_sf, _CONCAVITY_TOL)
 
     if witness_cdf is not None or witness_sf is not None:
         if witness_cdf is not None and (witness_sf is None or worst_cdf >= worst_sf):
@@ -438,5 +418,4 @@ def certify_log_concavity(link: LinkFamily, grid_spec: Optional[GridSpec] = None
         max_violation_neg_log_sf=float(worst_sf),
         verdict=verdict,
         witness=witness,
-        tolerance=tolerance,
     )

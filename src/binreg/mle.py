@@ -225,7 +225,9 @@ def _hessian_condition(H: np.ndarray) -> float:
     if not np.all(np.isfinite(H)):
         return math.inf
     evals = np.abs(np.linalg.eigvalsh(H))
-    if evals.min() == 0.0:
+    # an eigenvalue within rounding of zero is a singular direction, not a
+    # finite condition number
+    if evals.min() <= np.finfo(float).eps * evals.max():
         return math.inf
     return float(evals.max() / evals.min())
 

@@ -59,13 +59,13 @@ class ConeCertificate:
     """Strictly positive combination weights witnessing a common cone point.
 
     ``weights_pos``/``weights_neg`` follow the original row order within the
-    y=1 and y=0 groups. ``residual`` is the max-abs mismatch of the two
-    combinations on the standardized design (scale- and offset-free).
+    y=1 and y=0 groups; the smallest of them is the report's ``margin``.
+    ``residual`` is the max-abs mismatch of the two combinations on the
+    standardized design (scale- and offset-free).
     """
 
     weights_pos: np.ndarray
     weights_neg: np.ndarray
-    margin: float
     residual: float
 
 
@@ -177,7 +177,7 @@ def _cone_report(dm: DesignMatrix, y: np.ndarray) -> OverlapReport:
         raise LPNumericalFailure(
             f"cone certificate residual {residual:.3g} exceeds {RESIDUAL_MAX:g}")
     cert = ConeCertificate(weights_pos=weights_pos, weights_neg=weights_neg,
-                           margin=t_star, residual=residual)
+                           residual=residual)
     return OverlapReport(verdict=OVERLAP, method=METHOD_CONE,
                          certificate=cert, margin=t_star, design=dm)
 

@@ -56,10 +56,14 @@ def _thresh_sign(value: float, tol: float) -> int:
     return 0
 
 
-def check_sign(fr: FitResult, gs, zero_tol: float = ZERO_TOL) -> TheoremReport:
+def check_sign(fr: FitResult, gs) -> TheoremReport:
     """d=1 sign test: the fitted slope's sign must match the sign of the
     group-mean difference. Diverged fits carry their direction in the sign
-    of the (huge) last iterate, playing the role of sign(+-inf)."""
+    of the (huge) last iterate, playing the role of sign(+-inf).
+
+    Raises PreconditionError for a fit that did not finish (MaxIterations or
+    NotUnique): the statement is about the maximizer, which such a fit has
+    not reached, so its slope is no counterexample."""
     if gs.delta.size != 1:
         raise DimensionError("sign check is defined for a single predictor")
     if fr.status not in (CONVERGED, DIVERGED):
@@ -69,8 +73,8 @@ def check_sign(fr: FitResult, gs, zero_tol: float = ZERO_TOL) -> TheoremReport:
     if fr.status == DIVERGED:
         beta_sign = 1 if beta > 0 else (-1 if beta < 0 else 0)
     else:
-        beta_sign = _thresh_sign(beta, zero_tol)
-    delta_sign = _thresh_sign(delta, zero_tol)
+        beta_sign = _thresh_sign(beta, ZERO_TOL)
+    delta_sign = _thresh_sign(delta, ZERO_TOL)
     holds = beta_sign == delta_sign
     return TheoremReport(
         theorem=SIGN_MATCH,
@@ -81,13 +85,16 @@ def check_sign(fr: FitResult, gs, zero_tol: float = ZERO_TOL) -> TheoremReport:
     )
 
 
-def check_angle(fr: FitResult, gs, zero_tol: float = ZERO_TOL) -> TheoremReport:
+def check_angle(fr: FitResult, gs) -> TheoremReport:
     """The fitted slope must make an acute angle with the group-mean
-    difference: slack = beta'delta must be strictly positive."""
+    difference: slack = beta'delta must be strictly positive.
+
+    Raises PreconditionError unless the fit converged and the group means
+    are distinct (|delta| > ZERO_TOL), the cases the statement covers."""
     if fr.status != CONVERGED:
         raise PreconditionError(f"angle check needs a Converged fit, got {fr.status}")
     delta_norm = float(np.linalg.norm(gs.delta))
-    if delta_norm <= zero_tol:
+    if delta_norm <= ZERO_TOL:
         raise PreconditionError(
             "group means coincide; the zero-coefficient equivalence applies instead")
     slack = float(fr.params.beta @ gs.delta)
@@ -99,10 +106,7 @@ def check_angle(fr: FitResult, gs, zero_tol: float = ZERO_TOL) -> TheoremReport:
     )
 
 
-def check_zero_iff(ds: Dataset, link: LinkFamily,
-                   zero_tol: float = ZERO_TOL,
-                   fit_zero_tol: float = FIT_ZERO_TOL,
-                   alpha_tol: float = ALPHA_TOL) -> TheoremReport:
+def check_zero_iff(ds: Dataset, link: LinkFamily) -> TheoremReport:
     """Both directions of the zero-coefficient equivalence.
 
     Equal group means must force a (near-)zero fitted slope with intercept
@@ -114,19 +118,19 @@ def check_zero_iff(ds: Dataset, link: LinkFamily,
     delta_norm = float(np.linalg.norm(gs.delta))
     beta_norm = float(np.linalg.norm(fr.params.beta))
 
-    if delta_norm <= zero_tol:
+    if delta_norm <= ZERO_TOL:
         alpha_target = link.inverse(ds.n1 / ds.n)
         alpha_err = abs(fr.params.alpha - alpha_target)
-        holds = (fr.status == CONVERGED and beta_norm <= fit_zero_tol
-                 and alpha_err <= alpha_tol)
+        holds = (fr.status == CONVERGED and beta_norm <= FIT_ZERO_TOL
+                 and alpha_err <= ALPHA_TOL)
         return TheoremReport(
             theorem=ZERO_IFF_EQUAL_MEANS, holds=holds, slack=beta_norm,
             details=f"|delta|={delta_norm:.3g} -> |beta|={beta_norm:.3g}, "
                     f"|alpha-G^-1(n1/n)|={alpha_err:.3g}, status={fr.status}")
-    if beta_norm <= fit_zero_tol and fr.status == CONVERGED:
+    if beta_norm <= FIT_ZERO_TOL and fr.status == CONVERGED:
         return TheoremReport(
             theorem=ZERO_IFF_EQUAL_MEANS, holds=False, slack=delta_norm,
-            details=f"|beta|={beta_norm:.3g} but |delta|={delta_norm:.3g} > {zero_tol}")
+            details=f"|beta|={beta_norm:.3g} but |delta|={delta_norm:.3g} > {ZERO_TOL}")
     return TheoremReport(
         theorem=ZERO_IFF_EQUAL_MEANS, holds=True, slack=min(delta_norm, beta_norm),
         details="neither side near zero; equivalence vacuously satisfied")
@@ -142,12 +146,12 @@ def shift_dataset(ds: Dataset) -> Dataset:
 
 def grid_mle(ds: Dataset, link: LinkFamily,
              bounds: Tuple[float, float] = (-16.0, 16.0),
-             levels: int = 7, points: int = 21) -> Parameters:
+             levels: int = 7) -> Parameters:
     """Brute-force likelihood maximizer over a nested (intercept, slope) grid.
 
     Each refinement level shrinks the box five-fold around the best point,
     so the final resolution is about width / (5**levels * (points-1)).
-    With the default density the next box spans two grid steps around the
+    With 21 points per axis the next box spans two grid steps around the
     incumbent, which keeps very flat ridges (tiny n) from being shrunk out.
     The search runs in a mean-centered parametrization (intercept paired
     with x - xbar), which decorrelates the peak so the nested boxes track
@@ -164,6 +168,7 @@ def grid_mle(ds: Dataset, link: LinkFamily,
     nparam = ds.d + 1
     centers = np.full(nparam, 0.5 * (lo + hi))
     width = hi - lo
+    points = 21
 
     best = centers
     for _ in range(levels):
@@ -193,20 +198,24 @@ def _derived_seed(seed: int, trial: int) -> int:
     return (seed * 2_654_435_761 + trial * 97_531) & ((1 << 63) - 1)
 
 
-def gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500) -> Dataset:
-    """Random dataset rejected-and-retried until the cone test says Overlap
-    (and the standardized extended design has full rank)."""
-    return _gen_overlapping(n, d, seed, max_tries)[0]
+_GEN_TRIES = 500
 
 
-def _gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500):
+def gen_overlapping(n: int, d: int, seed: int) -> Dataset:
+    """Random dataset rejected-and-retried, at most ``_GEN_TRIES`` times,
+    until the cone test says Overlap (and the standardized extended design
+    has full rank)."""
+    return _gen_overlapping(n, d, seed)[0]
+
+
+def _gen_overlapping(n: int, d: int, seed: int):
     """``gen_overlapping``'s dataset and the Overlap report that accepted it,
     which a suite trial passes to ``fit`` so the cone program is solved and
     the design built and ranked once (the report carries the design)."""
     if d < 1 or n < d + 2:
         raise GenerationFailure(f"need d >= 1 and n >= d+2 to overlap, got n={n}, d={d}")
     rng = CounterRng(seed)
-    for _ in range(max_tries):
+    for _ in range(_GEN_TRIES):
         x = rng.uniforms(n * d, -2.0, 2.0).reshape(n, d)
         y = (rng.uniforms(n) < 0.5).astype(int)
         if y.sum() == 0 or y.sum() == n:
@@ -221,7 +230,7 @@ def _gen_overlapping(n: int, d: int, seed: int, max_tries: int = 500):
             continue
         if report.verdict == OVERLAP:
             return ds, report
-    raise GenerationFailure(f"no overlapping dataset after {max_tries} tries (seed={seed})")
+    raise GenerationFailure(f"no overlapping dataset after {_GEN_TRIES} tries (seed={seed})")
 
 
 def gen_separated(n: int, d: int, seed: int) -> Dataset:
@@ -298,88 +307,70 @@ class SuiteSummary:
     failure_details: Tuple[str, ...] = ()
 
 
-def _summarize(theorem: str, link_name: str, d: int, outcomes) -> SuiteSummary:
-    passes = failures = skipped = 0
+def _run_suite(theorem: str, link_name: str, d: int, trials: int, seed: int,
+               trial) -> SuiteSummary:
+    """Run ``trial(t, rng, gen_seed)`` for t < trials on seeds derived from
+    ``seed``; it returns (holds, slack, details). A trial whose check raises
+    PreconditionError is skipped: the check alone judges its hypotheses."""
+    passes = skipped = 0
     worst = math.inf
     details = []
-    for outcome in outcomes:
-        if outcome is None:
+    for t in range(trials):
+        s = _derived_seed(seed, t)
+        try:
+            holds, slack, text = trial(t, CounterRng(s), _derived_seed(s, 1))
+        except PreconditionError:
             skipped += 1
             continue
-        holds, slack, text = outcome
         worst = min(worst, slack)
         if holds:
             passes += 1
         else:
-            failures += 1
-            details.append(text)
-    return SuiteSummary(theorem=theorem, link=link_name, d=d,
-                        trials=passes + failures + skipped,
-                        passes=passes, failures=failures, skipped=skipped,
+            details.append(f"trial {t}: {text}")
+    return SuiteSummary(theorem=theorem, link=link_name, d=d, trials=trials,
+                        passes=passes, failures=len(details), skipped=skipped,
                         worst_slack=worst if worst < math.inf else float("nan"),
                         failure_details=tuple(details[:10]))
 
 
-def run_sign_suite(link: LinkFamily, trials: int, seed: int,
-                   n_range: Tuple[int, int] = (6, 40)) -> SuiteSummary:
-    """Sign match over random overlapping d=1 datasets.
-
-    Trials whose fit did not finish (MaxIterations or NotUnique) are
-    skipped: the statement is about the maximizer, which such a fit has not
-    reached, so its slope is no counterexample.
-    """
-
-    def one(t: int):
-        s = _derived_seed(seed, t)
-        rng = CounterRng(s)
-        n = rng.randint(*n_range)
-        ds, report = _gen_overlapping(n, 1, _derived_seed(s, 1))
-        fr = fit(ds, link, overlap=report)
-        gs = group_stats(ds)
-        if fr.status not in (CONVERGED, DIVERGED):
-            return None
-        rep = check_sign(fr, gs)
-        return rep.holds, rep.slack, f"trial {t}: {rep.details}"
-
-    return _summarize(SIGN_MATCH, link.name, 1, [one(t) for t in range(trials)])
+def _fitted(link: LinkFamily, d: int, rng: CounterRng, seed: int):
+    """The fit of an overlapping dataset of dimension d, with n from 6 (or
+    d + 2) to 40 drawn by ``rng``, and its group statistics. The fit reuses
+    the generator's Overlap report."""
+    ds, report = _gen_overlapping(rng.randint(max(6, d + 2), 40), d, seed)
+    return fit(ds, link, overlap=report), group_stats(ds)
 
 
-def run_zero_suite(link: LinkFamily, trials: int, seed: int,
-                   n_range: Tuple[int, int] = (6, 40),
-                   dims: Tuple[int, ...] = (1, 2, 3)) -> SuiteSummary:
-    """Zero-coefficient equivalence over mean-balanced datasets."""
+def run_sign_suite(link: LinkFamily, trials: int, seed: int) -> SuiteSummary:
+    """Sign match over random overlapping d=1 datasets. A trial whose fit
+    did not finish is skipped: ``check_sign`` refuses it."""
 
-    def one(t: int):
-        s = _derived_seed(seed, t)
-        rng = CounterRng(s)
-        d = dims[t % len(dims)]
-        n = rng.randint(max(n_range[0], d + 2), n_range[1])
-        ds = gen_balanced(n, d, _derived_seed(s, 1))
-        rep = check_zero_iff(ds, link)
-        return rep.holds, -rep.slack, f"trial {t}: {rep.details}"
+    def trial(t, rng, gen_seed):
+        rep = check_sign(*_fitted(link, 1, rng, gen_seed))
+        return rep.holds, rep.slack, rep.details
 
-    return _summarize(ZERO_IFF_EQUAL_MEANS, link.name, 0, [one(t) for t in range(trials)])
+    return _run_suite(SIGN_MATCH, link.name, 1, trials, seed, trial)
 
 
-def run_angle_suite(link: LinkFamily, d: int, trials: int, seed: int,
-                    n_range: Tuple[int, int] = (6, 40)) -> SuiteSummary:
-    """Acute angle over random overlapping datasets of dimension d.
+def run_zero_suite(link: LinkFamily, trials: int, seed: int) -> SuiteSummary:
+    """Zero-coefficient equivalence over mean-balanced datasets of dimension
+    1, 2, 3 in turn. ``worst_slack`` is the largest slack, negated."""
 
-    Trials whose fit does not converge, or whose mean difference is
-    negligible, are skipped: the statement only covers converged fits with
-    distinct group means.
-    """
+    def trial(t, rng, gen_seed):
+        d = 1 + t % 3
+        rep = check_zero_iff(gen_balanced(rng.randint(max(6, d + 2), 40), d, gen_seed), link)
+        return rep.holds, -rep.slack, rep.details
 
-    def one(t: int):
-        s = _derived_seed(seed, t)
-        rng = CounterRng(s)
-        n = rng.randint(max(n_range[0], d + 2), n_range[1])
-        ds, report = _gen_overlapping(n, d, _derived_seed(s, 1))
-        fr = fit(ds, link, overlap=report)
-        gs = group_stats(ds)
-        if fr.status != CONVERGED or np.linalg.norm(gs.delta) <= 1e-6:
-            return None
-        rep = check_angle(fr, gs)
-        return rep.holds, rep.slack, f"trial {t}: {rep.details}"
+    return _run_suite(ZERO_IFF_EQUAL_MEANS, link.name, 0, trials, seed, trial)
 
-    return _summarize(ACUTE_ANGLE, link.name, d, [one(t) for t in range(trials)])
+
+def run_angle_suite(link: LinkFamily, d: int, trials: int, seed: int) -> SuiteSummary:
+    """Acute angle over random overlapping datasets of dimension d. A trial
+    whose fit did not converge, or whose group means coincide, is skipped:
+    ``check_angle`` refuses it."""
+
+    def trial(t, rng, gen_seed):
+        rep = check_angle(*_fitted(link, d, rng, gen_seed))
+        return rep.holds, rep.slack, rep.details
+
+    return _run_suite(ACUTE_ANGLE, link.name, d, trials, seed, trial)

@@ -32,6 +32,11 @@ LPFAIL = DATA / "lpfail.csv"
 # and the Hessian weight 0 * -inf once made the Hessian NaN
 CLOGLOG_NAN = DATA / "cloglog_nan.csv"
 
+# n=100, d=3: groups split by a plane and pushed 0.2 apart, plus one
+# mid-plane point in both groups, so the fit diverges and the Hessian along
+# the separating direction vanishes
+QUASI_TIE = DATA / "quasi_separated_tie.csv"
+
 # y = 0 at linspace(-1, 1, 20), y = 1 at the same grid + 1.5 and one y = 1
 # outlier at x = -100: the uniform maximizer holds a row on the edge of the
 # support, and cauchit's slope has the wrong sign
@@ -57,7 +62,10 @@ VERIFY_GOLDEN = DATA / "verify_trials40_seed7.json"
 # 8.3e-16 relative, score_norm, and hessian_condition where it is above
 # 1e16); zeroing cloglog's 0 * -inf Hessian weight turned the null
 # hessian_condition of the two quasi-separated cloglog --force lines finite.
-# Regenerated only by a change that moves fit outputs on purpose
+# Reading a smallest Hessian eigenvalue within eps of the largest as
+# singular turned hessian_condition null (from 2.2e16 to 1.7e18) in the
+# logit, probit, cloglog and uniform --force lines of both quasi_separated_tie
+# CSVs, and moved nothing else. Regenerated only by a change that moves fit outputs on purpose
 FIT_GOLDEN = DATA / "fit_golden.json"
 GOLDEN_CSVS = ("quasi_separated_tie.csv", "quasi_separated_tie_pivots.csv",
                "separated_pivot_livelock.csv", "offset_separated_d1.csv",
@@ -215,6 +223,18 @@ class TestFitCommand:
         assert payload["score_norm"] <= 1e-8
         assert payload["loglik"] == pytest.approx(-5.315013930228894, abs=1e-9)
         assert np.isfinite(payload["hessian_condition"])
+
+    @pytest.mark.parametrize("link", ["logit", "probit", "cloglog", "uniform"])
+    def test_quasi_separated_hessian_reads_singular(self, capsys, link):
+        # the Hessian's smallest eigenvalue is rounding noise at the last
+        # iterate; its ratio to the largest once came out as a condition
+        # number of 2e16 to 4e16
+        code, out, err = run_cli(capsys, "fit", "--csv", str(QUASI_TIE), "--link", link,
+                                 "--force")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["status"] == "Diverged"
+        assert payload["hessian_condition"] is None
 
     def test_json_out_file(self, capsys, csvs, tmp_path):
         target = tmp_path / "result.json"

@@ -261,14 +261,8 @@ class TestDensity:
         else:
             z = np.linspace(-3.0, 3.0, 61)
         fd = (np.asarray(link.cdf(z + h)) - np.asarray(link.cdf(z - h))) / (2 * h)
-        err = np.abs(np.asarray(link.pdf(z)) - fd)
+        err = np.abs(np.exp(link.log_pdf(z)) - fd)
         assert np.all(err <= 5.0 * h * h + 1e-11)
-
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_pdf_nonnegative(self, name):
-        link = get_link(name)
-        z = np.linspace(-20, 20, 801)
-        assert np.all(np.asarray(link.pdf(z)) >= 0.0)
 
 
 class TestInverse:

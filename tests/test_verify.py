@@ -271,6 +271,24 @@ class TestSuites:
         assert summary.failures == 0
         assert summary.passes > 0
 
+    @pytest.mark.parametrize("check, run", [
+        ("check_sign", lambda: run_sign_suite(LOGIT, trials=4, seed=3)),
+        ("check_angle", lambda: run_angle_suite(LOGIT, d=2, trials=4, seed=3)),
+        ("check_zero_iff", lambda: run_zero_suite(LOGIT, trials=4, seed=3)),
+    ])
+    def test_a_trial_the_check_refuses_is_skipped(self, monkeypatch, check, run):
+        # the suites decide no hypothesis themselves; a check's
+        # PreconditionError is the one reason a trial is skipped
+        import binreg.verify
+
+        def refuse(*args):
+            raise PreconditionError("hypotheses do not hold")
+
+        monkeypatch.setattr(binreg.verify, check, refuse)
+        summary = run()
+        assert (summary.trials, summary.skipped, summary.passes, summary.failures) == (4, 4, 0, 0)
+        assert math.isnan(summary.worst_slack)
+
     def test_angle_and_sign_trials_solve_one_cone_program(self, monkeypatch):
         # the generator's Overlap report goes to fit, which does not solve
         # the program again
