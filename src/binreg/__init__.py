@@ -7,8 +7,8 @@ from .core import (BinregError, CsvFormatError, Dataset, DesignMatrix,
                    DimensionMismatch, EmptyGroup, GroupStats, NonBinaryLabel,
                    NonFiniteValue, build_dataset, dataset_from_arrays,
                    extended_design, group_stats, read_csv)
-from .links import (LINKS, ConcavityCertificate, GridSpec, LinkFamily,
-                    OutOfRange, certify_log_concavity, get_link)
+from .links import (LINKS, ConcavityCertificate, LinkFamily, OutOfRange,
+                    certify_log_concavity, get_link)
 from .mle import (CONVERGED, DIVERGED, MAX_ITERATIONS, NOT_UNIQUE, ConfigError,
                   FitOptions, FitResult, Parameters, fit, hessian,
                   log_likelihood, score)

@@ -132,11 +132,12 @@ def _cmd_overlap(args) -> int:
 def _cmd_verify(args) -> int:
     theorems = list(_VERIFY_LINKS) if args.theorem == "all" else [args.theorem]
     dims = tuple(int(v) if v.strip().isdecimal() else 0 for v in args.dims.split(","))
-    # a suite of no trials checks nothing, and d = 0 has no predictor
+    # a suite of no trials checks nothing, d = 0 has no predictor, and the
+    # suites draw n from max(6, d + 2) to 40, which is empty above d = 38
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if min(dims) < 1:
-        raise ValueError(f"--dims takes integers of at least 1, got {args.dims}")
+    if not all(1 <= d <= 38 for d in dims):
+        raise ValueError(f"--dims takes integers from 1 to 38, got {args.dims}")
     results = []
     for theorem in theorems:
         names = _VERIFY_LINKS[theorem] if args.link == "certified" else (args.link,)

@@ -302,16 +302,12 @@ def get_link(name: str) -> LinkFamily:
         raise KeyError(f"unknown link {name!r}; choose from {sorted(LINKS)}") from None
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling grid for the certificate: [lo, hi] in uniform steps, plus
-    a finer local grid (101 points 1e-3 apart) around each finite support
-    endpoint."""
-
-    lo: float = -12.0
-    hi: float = 12.0
-    step: float = 1e-2
-
+# Sampling grid for the certificate: [_GRID_LO, _GRID_HI] in steps of
+# _GRID_STEP, plus a finer local grid (101 points 1e-3 apart) around each
+# finite support endpoint.
+_GRID_LO = -12.0
+_GRID_HI = 12.0
+_GRID_STEP = 1e-2
 
 # midpoint-convexity defect a refutation must exceed
 _CONCAVITY_TOL = 1e-9
@@ -333,8 +329,8 @@ class ConcavityCertificate:
     tolerance: float = _CONCAVITY_TOL
 
 
-def _certificate_grid(link: LinkFamily, spec: GridSpec) -> np.ndarray:
-    points = [np.arange(spec.lo, spec.hi + spec.step / 2, spec.step)]
+def _certificate_grid(link: LinkFamily) -> np.ndarray:
+    points = [np.arange(_GRID_LO, _GRID_HI + _GRID_STEP / 2, _GRID_STEP)]
     for endpoint in link.support:
         if math.isfinite(endpoint):
             points.append(endpoint + np.arange(-50, 51) * 1e-3)
@@ -383,8 +379,7 @@ def _strictly_increasing_on_support(link: LinkFamily, grid: np.ndarray) -> bool:
     return bool(np.all(cdf_up | sf_down))
 
 
-def certify_log_concavity(link: LinkFamily,
-                          grid_spec: Optional[GridSpec] = None) -> ConcavityCertificate:
+def certify_log_concavity(link: LinkFamily) -> ConcavityCertificate:
     """Numerically certify or refute convexity of -log G and -log(1-G).
 
     Scans midpoint convexity on every equally spaced grid triple. Links
@@ -392,8 +387,7 @@ def certify_log_concavity(link: LinkFamily,
     vanishing on an interior interval) come back "inconclusive": they fall
     outside the certificate's scope rather than being judged either way.
     """
-    spec = grid_spec or GridSpec()
-    grid = _certificate_grid(link, spec)
+    grid = _certificate_grid(link)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         neg_log_cdf = -np.asarray(link.log_cdf(grid), dtype=float)
         neg_log_sf = -np.asarray(link.log_sf(grid), dtype=float)

@@ -11,13 +11,14 @@ steps, along which the log likelihood is provably nondecreasing, until the
 slope norm crosses ``DIVERGE_BOUND``, and reports Diverged with the iterate
 past it. Because it cannot fall, the march forms the doubling iterates
 without evaluating the link and lands in one evaluation, which counts as
-one iteration; it goes step by step only when that landing iterate falls
-below the start. The march starts at once when the
-separation is strict (every row's signed margin along the direction clears
-``STRICT_MARGIN`` times the largest): the supremum is then 0 and there is
-no finite part to fit. When some rows are tied (quasi-separation), Newton
-first fits the tied rows' finite part for up to 25 iterations and the
-march continues from there.
+one iteration. A landing below the start raises ``LPNumericalFailure``,
+as a cone program that fails numerically does: neither certifies whether
+a finite maximizer exists, so neither reports a status. The march starts
+at once when the separation is strict (every row's signed margin along the
+direction clears ``STRICT_MARGIN`` times the largest): the supremum is
+then 0 and there is no finite part to fit. When some rows are tied
+(quasi-separation), Newton first fits the tied rows' finite part for up to
+25 iterations and the march continues from there.
 
 Each Newton step is damped by Armijo backtracking over the steps 1, 1/2,
 ..., 2**(1 - _MAX_HALVINGS). Step 1 is one log likelihood evaluation; when
@@ -488,11 +489,9 @@ def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, history: list) 
     evaluating the link, and only the landing iterate past the bound is
     evaluated: one link call, accepted as one iterate when its log
     likelihood is no lower than the start's, up to a float wobble
-    allowance. Only when it is lower does the march go step by step from
-    the start, evaluating each doubling and halving the step after one that
-    falls short."""
+    allowance. A lower landing means gamma does not separate the rows, and
+    the march raises ``LPNumericalFailure`` naming both values."""
     f = point.loglik
-    floor = f - 1e-9 * (1.0 + abs(f))
     theta = point.theta
     step = 1.0
     while np.linalg.norm(theta[1:]) <= DIVERGE_BOUND:
@@ -501,22 +500,11 @@ def _march_to_divergence(xt, y, link, point: _Evaluation, gamma, history: list) 
     if theta is point.theta:
         return point
     landing = _evaluate(xt, y, link, theta)
-    if landing.loglik >= floor:
-        history.append(landing.loglik)
-        return landing
-    step = 1.0
-    while np.linalg.norm(point.theta[1:]) <= DIVERGE_BOUND:
-        cand = _evaluate(xt, y, link, point.theta + step * gamma)
-        if cand.loglik >= f - 1e-9 * (1.0 + abs(f)):
-            point = cand
-            f = max(f, cand.loglik)
-            history.append(cand.loglik)
-            step *= 2.0
-        else:  # float wobble guard; take smaller moves
-            step *= 0.5
-            if step < 1e-8:
-                break
-    return point
+    if not landing.loglik >= f - 1e-9 * (1.0 + abs(f)):
+        raise LPNumericalFailure(f"log likelihood fell along the separating direction, "
+                                 f"from {f!r} to {landing.loglik!r}")
+    history.append(landing.loglik)
+    return landing
 
 
 def _newton_then_kink(xt, y, link, start: _Evaluation, opts: FitOptions, history: list):
@@ -590,9 +578,12 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     likelihood but not uniquely). Non-log-concave links are fitted from
     ``_STARTS`` starting points (fit's own start, then ``_spread_starts``);
     the run that ranks best by (converged, log likelihood) is returned, its
-    point, history and status, with a caveat. When the cone program fails
-    numerically at d > 1, the fit proceeds as if the groups overlap and its
-    caveat names the failure.
+    point, history and status, with a caveat.
+
+    ``LPNumericalFailure`` is raised, and no status reported, when the cone
+    program fails numerically at d > 1 (at d = 1 ``cone_overlap`` falls back
+    to the exact interval test) or when the march's landing falls below its
+    start: existence is then not certified either way.
 
     At a kink, Converged means that the rows held on the edge of the
     support have multipliers in [0, 1], the supergradient residual is at
@@ -613,15 +604,8 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
     theta0 = np.zeros(ds.d + 1)
     theta0[0] = link.inverse(p_hat)
 
-    lp_caveat = None
     if rank_ok and report is None:
-        try:
-            report = cone_overlap(dm, y)
-        except LPNumericalFailure as exc:
-            # d > 1 (at d = 1 cone_overlap falls back to the interval test):
-            # proceed as if overlapping, and say so; Newton's own divergence
-            # bound remains as a backstop
-            lp_caveat = f"cone program failed: {exc}; existence not certified"
+        report = cone_overlap(dm, y)
     verdict = None if report is None else report.verdict
 
     start = _evaluate(xt, y, link, theta0)
@@ -693,6 +677,6 @@ def fit(ds: Dataset, link: LinkFamily, options: Optional[FitOptions] = None,
         score_norm=score_norm,
         status=status,
         hessian_condition=hess_cond,
-        caveat="; ".join(filter(None, (lp_caveat, caveat))) or None,
+        caveat=caveat,
         history=tuple(history),
     )

@@ -51,15 +51,20 @@ class CounterRng:
         u = (z >> np.uint64(11)) * 2.0 ** -53
         return lo + (hi - lo) * u
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+    def normal(self) -> float:
+        """Standard normal draw."""
         # Box-Muller; u1 floored away from 0 so log() stays finite
         u1 = max(self.uniform(), 2.0 ** -53)
         u2 = self.uniform()
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
+        """Uniform integer in [lo, hi] inclusive. An empty range (hi < lo)
+        is refused: its modulus would be 0 or negative."""
+        if hi < lo:
+            raise ValueError(f"randint needs lo <= hi, got [{lo}, {hi}]")
         return lo + self.u64() % (hi - lo + 1)
 
-    def bernoulli(self, p: float = 0.5) -> int:
-        return 1 if self.uniform() < p else 0
+    def bernoulli(self) -> int:
+        """Fair coin: 1 or 0 with probability 1/2 each."""
+        return 1 if self.uniform() < 0.5 else 0

@@ -30,7 +30,9 @@ _DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule
 
 
 class LPNumericalFailure(BinregError):
-    """The solver exceeded its iteration budget, lost feasibility or met a ray."""
+    """The solver exceeded its iteration budget, lost feasibility or met a
+    ray; ``mle.fit`` also raises it when the log likelihood falls along a
+    separating direction."""
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,7 @@ def gen_gaussian(n: int, mu0, mu1, sigma, seed: int) -> Dataset:
     x = np.empty((n, d))
     y = np.empty(n, dtype=int)
     for i in range(n):
-        y[i] = rng.bernoulli(0.5)
+        y[i] = rng.bernoulli()
         noise = np.array([rng.normal() for _ in range(d)])
         x[i] = (mu1 if y[i] == 1 else mu0) + chol @ noise
     if y.sum() == 0:

@@ -125,7 +125,7 @@ def _overlap_suite_datasets():
             x = np.array([float(rng.randint(0, 4)) for _ in range(n)])
         else:
             x = np.array([rng.uniform(-2, 2) for _ in range(n)])
-        y = np.array([rng.bernoulli(0.5) for _ in range(n)])
+        y = np.array([rng.bernoulli() for _ in range(n)])
         if y.sum() in (0, n):
             y[0] = 1 - y[0]
         datasets.append(dataset_from_arrays(x, y))
@@ -191,7 +191,7 @@ def test_criterion_6_score_correctness():
             rng = CounterRng(20_240_606 + 1000 * t)
             n, d = rng.randint(6, 14), rng.randint(1, 2)
             x = np.array([[rng.uniform(-2, 2) for _ in range(d)] for _ in range(n)])
-            y = np.array([rng.bernoulli(0.5) for _ in range(n)])
+            y = np.array([rng.bernoulli() for _ in range(n)])
             if y.sum() in (0, n):
                 y[0] = 1 - y[0]
             ds = dataset_from_arrays(x, y)

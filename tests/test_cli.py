@@ -506,6 +506,10 @@ class TestErrorPaths:
         (("--theorem", "angle", "--trials", "1", "--dims", "0"), "--dims"),
         (("--theorem", "angle", "--trials", "1", "--dims", "2,-1"), "--dims"),
         (("--theorem", "angle", "--trials", "1", "--dims", "2,x"), "--dims"),
+        # n is drawn from d + 2 to 40: d = 39 divided by zero in randint,
+        # and d = 40 drew n = 42
+        (("--theorem", "angle", "--trials", "1", "--dims", "39"), "1 to 38"),
+        (("--theorem", "angle", "--trials", "1", "--dims", "2,40"), "1 to 38"),
     ])
     def test_verify_must_check_something(self, capsys, flags, named):
         # no trials printed suites of "trials": 0 and passed; d = 0 failed

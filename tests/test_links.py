@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from binreg import (GridSpec, LinkFamily, OutOfRange, certify_log_concavity,
-                    get_link)
+from binreg import LinkFamily, OutOfRange, certify_log_concavity, get_link
 
 ALL_NAMES = ["logit", "probit", "cloglog", "cauchit", "uniform"]
 CERTIFIED_NAMES = ["logit", "probit", "cloglog", "uniform"]
@@ -355,8 +354,3 @@ class TestCertification:
 
         cert = certify_log_concavity(Flat())
         assert cert.verdict == "inconclusive"
-
-    def test_custom_grid_spec(self):
-        cert = certify_log_concavity(get_link("logit"), GridSpec(lo=-4, hi=4, step=0.05))
-        assert cert.verdict == "certified"
-        assert cert.grid.min() >= -4.0 and cert.grid.max() <= 4.0

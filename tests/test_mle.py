@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -295,28 +296,19 @@ class TestFit:
         assert "fragile" in fr.caveat
 
     @pytest.mark.parametrize("name", ["logit", "cauchit"])
-    def test_cone_program_failure_is_named_in_caveat(self, name, monkeypatch):
-        # at d > 1 a failed cone program leaves existence uncertified; fit
-        # still runs Newton, and says so next to any other caveat
+    def test_cone_program_failure_propagates(self, name, monkeypatch):
+        # at d > 1 a failed cone program leaves existence uncertified, so
+        # fit reports no status: the solver's error reaches the caller
         import binreg.mle as mle_mod
         from binreg import LPNumericalFailure
         ds = make_ds([[0, 0], [1, 0], [0, 1]] * 2, [0, 0, 0, 1, 1, 1])
-        base = fit(ds, get_link(name))
 
         def fail(*a, **k):
             raise LPNumericalFailure("simplex exceeded 9 pivots")
 
         monkeypatch.setattr(mle_mod, "cone_overlap", fail)
-        fr = fit(ds, get_link(name))
-        assert fr.status == base.status == CONVERGED
-        assert fr.params.alpha == base.params.alpha
-        assert list(fr.params.beta) == list(base.params.beta)
-        named = "cone program failed: simplex exceeded 9 pivots; existence not certified"
-        if name == "logit":
-            assert base.caveat is None and fr.caveat == named
-        else:
-            assert "multi-start" in base.caveat
-            assert fr.caveat == named + "; " + base.caveat
+        with pytest.raises(LPNumericalFailure, match="simplex exceeded 9 pivots"):
+            fit(ds, get_link(name))
 
     def test_cone_program_failure_at_d1_uses_the_scalar_verdict(self, monkeypatch):
         import binreg.overlap
@@ -881,14 +873,6 @@ class TestKinkAscent:
         x = np.random.default_rng(2).normal(size=(30, 1))
         fit(make_ds(np.hstack([x, 2.0 * x]), (x[:, 0] > 0).astype(int)), UNIFORM)  # NotUnique
 
-        def fail(*args):
-            raise mle.LPNumericalFailure("pivot budget exhausted")
-
-        # a failed cone program at d > 1 leaves existence uncertified
-        monkeypatch.setattr(mle, "cone_overlap", fail)
-        stalled_d2 = next(ds for ds, _ in uniform_stalls(range(60)) if ds.d > 1)
-        assert fit(stalled_d2, UNIFORM).status == "MaxIterations"
-
     def test_a_held_row_is_let_go_when_its_multiplier_leaves_the_interval(self):
         # two rows reach their edge, and the face they hold is stationary
         # with multipliers 4.2 and -3.2; each is let go in turn before the
@@ -1047,8 +1031,7 @@ def count_log_terms(monkeypatch, link):
 class TestMarchLanding:
     """The march forms its doubling iterates along the separating direction
     without evaluating the link and evaluates only the one that lands past
-    the divergence bound; the step-by-step march runs only when that landing
-    iterate falls below the start."""
+    the divergence bound; a landing below the start raises."""
 
     @pytest.mark.parametrize("bound", [1e2, 1e6])
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -1068,8 +1051,9 @@ class TestMarchLanding:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_landing_matches_the_step_by_step_march(self, name):
-        # along a separating direction every doubling passes the guard, so
-        # the landing iterate is the step-by-step march's last one, bit for bit
+        # along a separating direction the landing passes the guard, and it
+        # is the last of the doubling additions, as a march that evaluated
+        # every step would reach it, bit for bit
         link = get_link(name)
         for d, seed in ((1, 0), (2, 3), (3, 5)):
             ds = gen_separated(30, d, seed)
@@ -1082,9 +1066,10 @@ class TestMarchLanding:
             assert bits(landing.loglik) == bits(loglik(dm.xt, ds.y, link, theta))
 
     @pytest.mark.parametrize("name", CERTIFIED_NAMES)
-    def test_failed_landing_marches_step_by_step(self, name, monkeypatch):
+    def test_failed_landing_raises(self, name, monkeypatch):
         # along -gamma the log likelihood falls, so the landing iterate fails
-        # the guard and the step-by-step march keeps within it of the start
+        # the guard: the march raises after its one evaluation and accepts
+        # no iterate
         link = get_link(name)
         ds = gen_separated(30, 2, 3)
         dm = extended_design(ds)
@@ -1092,15 +1077,37 @@ class TestMarchLanding:
         start = mle._evaluate(dm.xt, ds.y, link, fit_start(ds, link))
         theta = doubling_landing(start.theta, -gamma, mle.DIVERGE_BOUND)
         f = start.loglik
-        floor = f - 1e-9 * (1.0 + abs(f))
-        assert not loglik(dm.xt, ds.y, link, theta) >= floor
+        assert not loglik(dm.xt, ds.y, link, theta) >= f - 1e-9 * (1.0 + abs(f))
         calls = count_log_terms(monkeypatch, link)
         history = []
-        point = mle._march_to_divergence(dm.xt, ds.y, link, start, -gamma, history)
-        assert len(calls) > 2
-        assert point.loglik >= floor
-        assert np.linalg.norm(point.theta[1:]) <= mle.DIVERGE_BOUND
-        assert history == [] or min(history) >= floor
+        with pytest.raises(mle.LPNumericalFailure, match="fell along the separating direction"):
+            mle._march_to_divergence(dm.xt, ds.y, link, start, -gamma, history)
+        assert len(calls) == 1
+        assert history == []
+
+    @staticmethod
+    def reversed_report(ds):
+        report = cone_overlap(extended_design(ds), ds.y)
+        return replace(report, direction=-report.direction)
+
+    @pytest.mark.parametrize("name", CERTIFIED_NAMES)
+    def test_fit_along_a_reversed_direction_raises(self, name):
+        # a report whose direction does not separate the rows: the march
+        # lands below its start, and fit reports no Diverged fit short of
+        # the bound
+        ds = gen_separated(20, 2, 3)
+        with pytest.raises(mle.LPNumericalFailure):
+            fit(ds, get_link(name), overlap=self.reversed_report(ds))
+
+    def test_cauchit_newton_crosses_the_bound_before_a_reversed_march(self):
+        # cauchit's 1/z tail lets its Newton iterations before the march
+        # escape past the bound, so the march takes no step
+        ds = gen_separated(20, 2, 3)
+        fr = fit(ds, get_link("cauchit"), overlap=self.reversed_report(ds))
+        theta = extended_design(ds).to_standardized(np.concatenate([[fr.params.alpha],
+                                                                     fr.params.beta]))
+        assert fr.status == DIVERGED and fr.iterations < 25
+        assert np.linalg.norm(theta[1:]) > mle.DIVERGE_BOUND
 
 
 class TestMultistart:

@@ -74,6 +74,18 @@ def test_negative_count_is_refused():
     assert rng.u64() == scalar.u64()
 
 
+def test_empty_randint_range_is_refused():
+    # hi = lo - 1 divided by zero, and hi = lo - 2 gave lo, outside [lo, hi]
+    rng, scalar = CounterRng(3), CounterRng(3)
+    for lo, hi in ((41, 40), (42, 40), (0, -7)):
+        with pytest.raises(ValueError):
+            rng.randint(lo, hi)
+    # a refused call draws nothing
+    assert rng.randint(40, 40) == 40
+    scalar.u64()
+    assert rng.u64() == scalar.u64()
+
+
 @pytest.mark.parametrize("argv", sorted(SIMULATE))
 def test_simulate_output_is_pinned(argv, capsys):
     assert main(["simulate", *argv]) == 0
