@@ -141,14 +141,15 @@ def _cmd_verify(args) -> int:
     results = []
     for theorem in theorems:
         names = _VERIFY_LINKS[theorem] if args.link == "certified" else (args.link,)
-        for name in names:
-            link = get_link(name)
-            if theorem == "sign":
-                results.append(run_sign_suite(link, args.trials, args.seed))
-            elif theorem == "zero":
-                results.append(run_zero_suite(link, args.trials, args.seed))
-            else:
-                results.extend(run_angle_suite(link, d, args.trials, args.seed) for d in dims)
+        links = [get_link(name) for name in names]
+        if theorem == "sign":
+            results.extend(run_sign_suite(links, args.trials, args.seed))
+        elif theorem == "zero":
+            results.extend(run_zero_suite(links, args.trials, args.seed))
+        else:
+            by_d = [run_angle_suite(links, d, args.trials, args.seed) for d in dims]
+            # angle rows go link by link, then d
+            results.extend(row for link_rows in zip(*by_d) for row in link_rows)
     total_failures = sum(r.failures for r in results)
     payload = {
         "schema": SCHEMA,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -230,7 +230,8 @@ def _gen_overlapping(n: int, d: int, seed: int):
             continue
         if report.verdict == OVERLAP:
             return ds, report
-    raise GenerationFailure(f"no overlapping dataset after {_GEN_TRIES} tries (seed={seed})")
+    raise GenerationFailure(
+        f"no overlapping dataset after {_GEN_TRIES} tries (n={n}, d={d}, seed={seed})")
 
 
 def gen_separated(n: int, d: int, seed: int) -> Dataset:
@@ -307,70 +308,94 @@ class SuiteSummary:
     failure_details: Tuple[str, ...] = ()
 
 
-def _run_suite(theorem: str, link_name: str, d: int, trials: int, seed: int,
-               trial) -> SuiteSummary:
-    """Run ``trial(t, rng, gen_seed)`` for t < trials on seeds derived from
-    ``seed``; it returns (holds, slack, details). A trial whose check raises
-    PreconditionError is skipped: the check alone judges its hypotheses."""
+def _run_suite(theorem: str, links: Sequence[LinkFamily], d: int, trials: int,
+               seed: int, draw, check) -> List[SuiteSummary]:
+    """Draw each trial's data once, ``draw(t, rng, gen_seed)`` for t < trials
+    on seeds derived from ``seed``, and run ``check(link, data)`` on it for
+    every link in ``links``; a check returns (holds, slack, details). A link
+    whose check raises PreconditionError skips that trial: the check alone
+    judges its hypotheses. Returns one summary per link, in order."""
+    outcomes = [[] for _ in links]
+    for t in range(trials):
+        s = _derived_seed(seed, t)
+        data = draw(t, CounterRng(s), _derived_seed(s, 1))
+        for link, out in zip(links, outcomes):
+            try:
+                out.append(check(link, data))
+            except PreconditionError:
+                out.append(None)
+    return [_summary(theorem, link.name, d, out) for link, out in zip(links, outcomes)]
+
+
+def _summary(theorem: str, link_name: str, d: int, outcomes) -> SuiteSummary:
+    """One link's tally of its trials' outcomes, None for a skipped trial."""
     passes = skipped = 0
     worst = math.inf
     details = []
-    for t in range(trials):
-        s = _derived_seed(seed, t)
-        try:
-            holds, slack, text = trial(t, CounterRng(s), _derived_seed(s, 1))
-        except PreconditionError:
+    for t, outcome in enumerate(outcomes):
+        if outcome is None:
             skipped += 1
             continue
+        holds, slack, text = outcome
         worst = min(worst, slack)
         if holds:
             passes += 1
         else:
             details.append(f"trial {t}: {text}")
-    return SuiteSummary(theorem=theorem, link=link_name, d=d, trials=trials,
+    return SuiteSummary(theorem=theorem, link=link_name, d=d, trials=len(outcomes),
                         passes=passes, failures=len(details), skipped=skipped,
                         worst_slack=worst if worst < math.inf else float("nan"),
                         failure_details=tuple(details[:10]))
 
 
-def _fitted(link: LinkFamily, d: int, rng: CounterRng, seed: int):
-    """The fit of an overlapping dataset of dimension d, with n from 6 (or
-    d + 2) to 40 drawn by ``rng``, and its group statistics. The fit reuses
-    the generator's Overlap report."""
-    ds, report = _gen_overlapping(rng.randint(max(6, d + 2), 40), d, seed)
-    return fit(ds, link, overlap=report), group_stats(ds)
+def _draw_overlapping(d: int):
+    """The sign and angle suites' draw: an overlapping dataset of dimension
+    d, with n from 6 (or d + 2) to 40 drawn by the trial's rng, the Overlap
+    report every link's fit reuses, and the group statistics."""
+
+    def draw(t, rng, gen_seed):
+        ds, report = _gen_overlapping(rng.randint(max(6, d + 2), 40), d, gen_seed)
+        return ds, report, group_stats(ds)
+
+    return draw
 
 
-def run_sign_suite(link: LinkFamily, trials: int, seed: int) -> SuiteSummary:
-    """Sign match over random overlapping d=1 datasets. A trial whose fit
-    did not finish is skipped: ``check_sign`` refuses it."""
-
-    def trial(t, rng, gen_seed):
-        rep = check_sign(*_fitted(link, 1, rng, gen_seed))
-        return rep.holds, rep.slack, rep.details
-
-    return _run_suite(SIGN_MATCH, link.name, 1, trials, seed, trial)
+def _fit_and_check(theorem_check, link: LinkFamily, ds: Dataset, report, gs):
+    rep = theorem_check(fit(ds, link, overlap=report), gs)
+    return rep.holds, rep.slack, rep.details
 
 
-def run_zero_suite(link: LinkFamily, trials: int, seed: int) -> SuiteSummary:
+def run_sign_suite(links: Sequence[LinkFamily], trials: int,
+                   seed: int) -> List[SuiteSummary]:
+    """Sign match over random overlapping d=1 datasets, one summary per
+    link; every link fits the same datasets. A trial whose fit did not
+    finish is skipped: ``check_sign`` refuses it."""
+    return _run_suite(SIGN_MATCH, links, 1, trials, seed, _draw_overlapping(1),
+                      lambda link, data: _fit_and_check(check_sign, link, *data))
+
+
+def run_zero_suite(links: Sequence[LinkFamily], trials: int,
+                   seed: int) -> List[SuiteSummary]:
     """Zero-coefficient equivalence over mean-balanced datasets of dimension
-    1, 2, 3 in turn. ``worst_slack`` is the largest slack, negated."""
+    1, 2, 3 in turn, one summary per link; every link fits the same
+    datasets. ``worst_slack`` is the largest slack, negated."""
 
-    def trial(t, rng, gen_seed):
+    def draw(t, rng, gen_seed):
         d = 1 + t % 3
-        rep = check_zero_iff(gen_balanced(rng.randint(max(6, d + 2), 40), d, gen_seed), link)
+        return gen_balanced(rng.randint(max(6, d + 2), 40), d, gen_seed)
+
+    def check(link, ds):
+        rep = check_zero_iff(ds, link)
         return rep.holds, -rep.slack, rep.details
 
-    return _run_suite(ZERO_IFF_EQUAL_MEANS, link.name, 0, trials, seed, trial)
+    return _run_suite(ZERO_IFF_EQUAL_MEANS, links, 0, trials, seed, draw, check)
 
 
-def run_angle_suite(link: LinkFamily, d: int, trials: int, seed: int) -> SuiteSummary:
-    """Acute angle over random overlapping datasets of dimension d. A trial
-    whose fit did not converge, or whose group means coincide, is skipped:
+def run_angle_suite(links: Sequence[LinkFamily], d: int, trials: int,
+                    seed: int) -> List[SuiteSummary]:
+    """Acute angle over random overlapping datasets of dimension d, one
+    summary per link; every link fits the same datasets. A trial whose fit
+    did not converge, or whose group means coincide, is skipped:
     ``check_angle`` refuses it."""
-
-    def trial(t, rng, gen_seed):
-        rep = check_angle(*_fitted(link, d, rng, gen_seed))
-        return rep.holds, rep.slack, rep.details
-
-    return _run_suite(ACUTE_ANGLE, link.name, d, trials, seed, trial)
+    return _run_suite(ACUTE_ANGLE, links, d, trials, seed, _draw_overlapping(d),
+                      lambda link, data: _fit_and_check(check_angle, link, *data))

@@ -38,8 +38,9 @@ def test_criterion_1_sign_theorem():
     t0 = time.time()
     parts = []
     ok = True
-    for name in SIGN_LINKS:
-        summary = run_sign_suite(get_link(name), trials=SIGN_TRIALS, seed=20_240_101)
+    summaries = run_sign_suite([get_link(name) for name in SIGN_LINKS],
+                               trials=SIGN_TRIALS, seed=20_240_101)
+    for name, summary in zip(SIGN_LINKS, summaries):
         parts.append(f"{name} {summary.passes}/{summary.trials}")
         ok &= summary.failures == 0 and summary.passes == SIGN_TRIALS
     elapsed = time.time() - t0
@@ -77,10 +78,12 @@ def test_criterion_3_acute_angle():
     """slope'(mean difference) > 0 in every converged multivariate trial."""
     parts = []
     ok = True
-    for name in CERTIFIED_LINKS:
-        link = get_link(name)
+    links = [get_link(name) for name in CERTIFIED_LINKS]
+    by_d = {d: run_angle_suite(links, d=d, trials=ANGLE_TRIALS, seed=20_240_303 + d)
+            for d in (2, 3)}
+    for i, name in enumerate(CERTIFIED_LINKS):
         for d in (2, 3):
-            summary = run_angle_suite(link, d=d, trials=ANGLE_TRIALS, seed=20_240_303 + d)
+            summary = by_d[d][i]
             parts.append(f"{name}/d{d} {summary.passes}p/{summary.skipped}s")
             ok &= summary.failures == 0
     report("criterion 3 (acute angle)", ok, ", ".join(parts))

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -223,6 +224,12 @@ class TestGenerators:
         with pytest.raises(GenerationFailure):
             gen_overlapping(3, 2, 1)
 
+    def test_exhausted_budget_names_n_and_d(self):
+        # at n = d + 2 seven predictors rarely overlap; seed 3 exhausts the
+        # retry budget
+        with pytest.raises(GenerationFailure, match=r"500 tries \(n=9, d=7, seed=3\)"):
+            gen_overlapping(9, 7, 3)
+
     @pytest.mark.parametrize("generate", [
         lambda: gen_separated(5, 0, 1),
         lambda: gen_separated(1, 2, 1),
@@ -257,24 +264,24 @@ class TestGenerators:
 
 class TestSuites:
     def test_sign_suite_clean(self):
-        summary = run_sign_suite(LOGIT, trials=25, seed=7)
+        (summary,) = run_sign_suite([LOGIT], trials=25, seed=7)
         assert summary.trials == 25
         assert summary.failures == 0
         assert summary.worst_slack > 0 or math.isnan(summary.worst_slack)
 
     def test_zero_suite_clean(self):
-        summary = run_zero_suite(get_link("probit"), trials=10, seed=3)
+        (summary,) = run_zero_suite([get_link("probit")], trials=10, seed=3)
         assert summary.failures == 0
 
     def test_angle_suite_clean(self):
-        summary = run_angle_suite(get_link("cloglog"), d=2, trials=15, seed=5)
+        (summary,) = run_angle_suite([get_link("cloglog")], d=2, trials=15, seed=5)
         assert summary.failures == 0
         assert summary.passes > 0
 
     @pytest.mark.parametrize("check, run", [
-        ("check_sign", lambda: run_sign_suite(LOGIT, trials=4, seed=3)),
-        ("check_angle", lambda: run_angle_suite(LOGIT, d=2, trials=4, seed=3)),
-        ("check_zero_iff", lambda: run_zero_suite(LOGIT, trials=4, seed=3)),
+        ("check_sign", lambda: run_sign_suite([LOGIT], trials=4, seed=3)),
+        ("check_angle", lambda: run_angle_suite([LOGIT], d=2, trials=4, seed=3)),
+        ("check_zero_iff", lambda: run_zero_suite([LOGIT], trials=4, seed=3)),
     ])
     def test_a_trial_the_check_refuses_is_skipped(self, monkeypatch, check, run):
         # the suites decide no hypothesis themselves; a check's
@@ -285,7 +292,7 @@ class TestSuites:
             raise PreconditionError("hypotheses do not hold")
 
         monkeypatch.setattr(binreg.verify, check, refuse)
-        summary = run()
+        (summary,) = run()
         assert (summary.trials, summary.skipped, summary.passes, summary.failures) == (4, 4, 0, 0)
         assert math.isnan(summary.worst_slack)
 
@@ -298,5 +305,39 @@ class TestSuites:
             raise AssertionError("cone program solved a second time")
 
         monkeypatch.setattr(binreg.mle, "cone_overlap", solve_again)
-        assert run_angle_suite(LOGIT, d=3, trials=6, seed=2).trials == 6
-        assert run_sign_suite(LOGIT, trials=6, seed=2).trials == 6
+        (angle,) = run_angle_suite([LOGIT], d=3, trials=6, seed=2)
+        assert angle.trials == 6
+        (sign,) = run_sign_suite([LOGIT], trials=6, seed=2)
+        assert sign.trials == 6
+
+    def test_verify_draws_each_trial_dataset_once(self, monkeypatch, capsys):
+        # 3 sign, 3 zero and 2 x 3 angle trials; drawn once per link, as
+        # before, they took 3 x 3 + 4 x 3 + 4 x 6 = 45 calls
+        import binreg.verify
+        from binreg.cli import main
+
+        calls = []
+        draw = binreg.verify._gen_overlapping
+
+        def counted(n, d, seed):
+            calls.append((n, d, seed))
+            return draw(n, d, seed)
+
+        monkeypatch.setattr(binreg.verify, "_gen_overlapping", counted)
+        assert main(["verify", "--theorem", "all", "--dims", "2,3", "--trials", "3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]) == 15
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("run", [
+        lambda links: run_sign_suite(links, trials=8, seed=13),
+        lambda links: run_zero_suite(links, trials=9, seed=13),
+        lambda links: run_angle_suite(links, d=2, trials=8, seed=13),
+        lambda links: run_angle_suite(links, d=3, trials=8, seed=13),
+    ], ids=["sign", "zero", "angle-d2", "angle-d3"])
+    def test_links_sharing_a_draw_match_one_link_runs(self, run):
+        # every link fits the same datasets, so a link's summary must not
+        # depend on the links checked beside it; repr also compares NaN
+        links = [get_link(name) for name in ("logit", "probit", "cloglog", "uniform", "cauchit")]
+        together = run(links)
+        assert [s.link for s in together] == [link.name for link in links]
+        assert [repr(s) for s in together] == [repr(run([link])[0]) for link in links]
